@@ -82,8 +82,12 @@ test-matrix-pooled:
 ## test-server: the multi-tenant race-server battery -- the
 ## admission/DRR Hypothesis state machine, server basics, the lease
 ## ledger under concurrent races, the concurrent equivalence matrix,
-## and the worker-assassination soak.  REPRO_SERVER_SEED varies the
-## soak's kill schedule; any schedule must leave results untouched.
+## the worker-assassination soak, and the steady-state soak (2,000
+## pooled server blocks, 1,100 fork-per-block blocks past the old
+## select() fd ceiling, 300 library-caller blocks: open fds, live
+## slabs, /dev/shm entries, threads and children must stay flat).
+## REPRO_SERVER_SEED varies the assassination soak's kill schedule;
+## any schedule must leave results untouched.
 ## Per-test timeout when pytest-timeout is available (a hang here
 ## means a stuck dispatcher or an unfinished ticket).
 REPRO_SERVER_SEED ?= 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 from repro.analysis.report import format_series, format_table
 from repro.pages.address_space import AddressSpace
@@ -57,10 +58,66 @@ def sweep():
     return rows
 
 
-def real_fork_touch(fraction: float, size: int = SPACE_BYTES) -> float:
-    """Real os.fork + child page-touch, via the library's own meter."""
-    from repro.core.oshost import measure_fork_cost
+@dataclass(frozen=True)
+class ForkMeasurement:
+    """One real COW-fork measurement on the host (section 4.4 style)."""
 
+    space_bytes: int
+    fraction_written: float
+    trials: int
+    mean_seconds: float
+    min_seconds: float
+    max_seconds: float
+
+
+def measure_fork_cost(
+    space_bytes: int = 320 * 1024,
+    fraction_written: float = 0.0,
+    trials: int = 5,
+    page_size: int = 4096,
+) -> ForkMeasurement:
+    """Measure a real ``fork()`` + child page-touch round trip.
+
+    Reproduces the paper's section 4.4 methodology on the host kernel:
+    allocate an address-space extent of ``space_bytes``, fork, have the
+    child dirty ``fraction_written`` of the pages (each write is a real
+    copy-on-write fault), and time until the child signals completion.
+    """
+    if not hasattr(os, "fork"):
+        raise RuntimeError("measure_fork_cost requires os.fork")
+    if not 0.0 <= fraction_written <= 1.0:
+        raise ValueError("fraction_written must be in [0, 1]")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    buffer = bytearray(space_bytes)
+    limit = int(space_bytes * fraction_written)
+    samples = []
+    for _ in range(trials):
+        read_fd, write_fd = os.pipe()
+        start = time.monotonic()
+        pid = os.fork()
+        if pid == 0:
+            for offset in range(0, limit, page_size):
+                buffer[offset] = 1  # COW fault
+            os.write(write_fd, b"x")
+            os._exit(0)
+        os.read(read_fd, 1)
+        samples.append(time.monotonic() - start)
+        os.waitpid(pid, 0)
+        os.close(read_fd)
+        os.close(write_fd)
+    return ForkMeasurement(
+        space_bytes=space_bytes,
+        fraction_written=fraction_written,
+        trials=trials,
+        mean_seconds=sum(samples) / len(samples),
+        min_seconds=min(samples),
+        max_seconds=max(samples),
+    )
+
+
+def real_fork_touch(fraction: float, size: int = SPACE_BYTES) -> float:
+    """Real os.fork + child page-touch, via :func:`measure_fork_cost`."""
     return measure_fork_cost(
         space_bytes=size, fraction_written=fraction, trials=3
     ).mean_seconds

@@ -41,6 +41,7 @@ import queue
 import random
 import threading
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -143,6 +144,11 @@ class ClusterExecutor:
             lease_interval=0.05, lease_timeout=0.6
         )
         self.use_consensus = use_consensus
+        self.decision_id: Optional[str] = None
+        """The id the voters decided the last consensus block under.
+        Grants are sticky per decision, so every block asks a fresh one:
+        a constant id would be granted once, to the first block's
+        winner, and denied to every block after it."""
         self.race_timeout = race_timeout
         self.connect_timeout = connect_timeout
         self.manager = manager if manager is not None else ProcessManager(
@@ -297,6 +303,7 @@ class ClusterExecutor:
                 semaphore = ClusterMajoritySemaphore(
                     voters, requester=self.home, secret=self._key
                 )
+            self.decision_id = f"block-{uuid.uuid4().hex}"
         consensus_starved = False
         tracer = _active_tracer()
 
@@ -326,7 +333,8 @@ class ClusterExecutor:
                             ok, reason = False, "consensus-unavailable"
                         else:
                             ok, reason = self._consensus_round(
-                                semaphore, assignment, timeline, clock
+                                semaphore, self.decision_id, assignment,
+                                timeline, clock,
                             )
                         consensus_starved = (
                             consensus_starved or reason == "consensus-unavailable"
@@ -731,11 +739,11 @@ class ClusterExecutor:
         return True, ""
 
     def _consensus_round(
-        self, semaphore, assignment, timeline, clock
+        self, semaphore, decision, assignment, timeline, clock
     ) -> Tuple[bool, str]:
         requester = f"arm-{assignment.index}-epoch-{assignment.epoch}"
         try:
-            granted = semaphore.try_acquire("block", requester)
+            granted = semaphore.try_acquire(decision, requester)
         except ConsensusUnavailable as exc:
             timeline.append((clock(), f"consensus unavailable: {exc}"))
             return False, "consensus-unavailable"

@@ -10,14 +10,17 @@ This package is the paper's primary contribution:
 - :class:`~repro.core.concurrent.ConcurrentExecutor` is the
   semantics-preserving transformation of section 3: race every alternative
   speculatively under copy-on-write state management, select fastest-first,
-  eliminate the siblings;
-- :class:`~repro.core.oshost.OsHost` runs the same race with real
-  ``os.fork`` processes on the host kernel's copy-on-write memory;
+  eliminate the siblings.  Every race, simulated or real, ends through the
+  executor's single conclusion path: commit a maximal step or the first
+  success, eliminate the rest, price the block as setup + runtime +
+  selection;
 - :mod:`repro.core.backends` makes the executor's concurrency pluggable:
-  :class:`~repro.core.backends.SerialBackend` (deterministic replay),
+  :class:`~repro.core.backends.SerialBackend` (the deterministic default,
+  raced afterwards under the cost model's processor-sharing schedule),
   :class:`~repro.core.backends.ThreadBackend` and
   :class:`~repro.core.backends.ProcessBackend` (real racing with
-  cooperative loser elimination).
+  cooperative loser elimination; the process backend forks each arm on
+  the host kernel's copy-on-write memory).
 """
 
 from repro.core.alternative import AltContext, Alternative, GuardPlacement
@@ -31,7 +34,6 @@ from repro.core.backends import (
     get_backend,
 )
 from repro.core.concurrent import ConcurrentExecutor
-from repro.core.oshost import OsHost, OsRaceOutcome, OsRaceResult
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.selection import (
     OrderedPolicy,
@@ -51,9 +53,6 @@ __all__ = [
     "ExecutionBackend",
     "GuardPlacement",
     "OrderedPolicy",
-    "OsHost",
-    "OsRaceOutcome",
-    "OsRaceResult",
     "OverheadBreakdown",
     "PriorityPolicy",
     "ProcessBackend",

@@ -61,7 +61,7 @@ Hardening beyond the paper's happy path:
 
 from __future__ import annotations
 
-import errno
+import math
 import os
 import select
 import signal
@@ -554,6 +554,18 @@ class ProcessBackend(ExecutionBackend):
         readers = {index: _RecordReader() for index in pipes}
         fd_to_index = {fd: index for index, fd in pipes.items()}
         open_fds = set(pipes.values())
+        # poll(), not select(): a long-lived process may hold fd numbers
+        # past FD_SETSIZE.  Not epoll either: its per-fd register and
+        # close syscalls each drop the GIL, which a threaded server pays
+        # for on every block.
+        poller = select.poll()
+        for fd in open_fds:
+            poller.register(fd, select.POLLIN)
+
+        def unwatch(fd: int) -> None:
+            if fd in open_fds:
+                open_fds.discard(fd)
+                poller.unregister(fd)
         reports = {
             task.index: ArmReport(index=task.index, name=task.name)
             for task in tasks
@@ -616,13 +628,10 @@ class ProcessBackend(ExecutionBackend):
                 for candidate in (bail_deadline, grace_deadline, deadline)
                 if candidate is not None
             ]
-            wait = max(0.0, min(waits)) if waits else None
-            try:
-                ready, _, _ = select.select(list(open_fds), [], [], wait)
-            except OSError as exc:  # pragma: no cover - platform dependent
-                if exc.errno == errno.EINTR:
-                    continue
-                raise
+            # poll() takes milliseconds; round up so a sub-millisecond
+            # wait does not spin.
+            wait = math.ceil(max(0.0, min(waits)) * 1000) if waits else None
+            ready = [fd for fd, _ in poller.poll(wait)]
             if not ready:
                 now = time.perf_counter()
                 if bail_deadline is not None and now >= bail_deadline:
@@ -654,7 +663,7 @@ class ProcessBackend(ExecutionBackend):
                 if not data:
                     # EOF: a forked child exited -- or a pooled worker
                     # died mid-lease (its pipe outlives leases otherwise).
-                    open_fds.discard(fd)
+                    unwatch(fd)
                     clean_leases.discard(index)
                     if index not in seen:
                         if reader.corrupt:
@@ -686,7 +695,7 @@ class ProcessBackend(ExecutionBackend):
                     conclude_abnormal(index, reader.corrupt_detail)
                 if fd in persistent and index in seen:
                     # The pooled arm is accounted for; its worker parks.
-                    open_fds.discard(fd)
+                    unwatch(fd)
                     if not reader.corrupt and not reader.pending:
                         clean_leases.add(index)
 

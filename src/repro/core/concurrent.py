@@ -7,20 +7,33 @@ concurrency, select the first successfully synchronizing child
 pointer swap, and eliminate the losing siblings synchronously or
 asynchronously.
 
-Timing is simulated deterministically:
+Every block ends through one conclusion path, ``_conclude``.  It
+receives a :class:`~repro.core.backends.BackendRace` -- per-arm start,
+finish, work and cancellation, the winner, the event labels -- and does
+each step of section 3 once: stage shipped pages, commit a maximal step
+or else the first success (``alt_sync`` + ``alt_wait``), raise the
+failure or timeout error, and price the block as setup + runtime +
+selection (section 4).  Two producers hand it that race, differing only
+in the interleaving strategy:
 
-- *setup*: the parent issues forks serially, so alternative ``i`` starts
-  at ``(i + 1) * fork_latency``;
-- *runtime*: each child's CPU demand is its standalone execution time plus
-  the COW copies for the pages it writes; demands contend on ``cpus``
-  processors under egalitarian processor sharing (virtual concurrency);
-- *selection*: the rendezvous costs ``sync_latency``; termination
-  instructions for the ``k-1`` siblings are issued at ``kill_latency``
-  apiece, before the parent resumes (synchronous elimination) or after it
-  (asynchronous).  Losers keep consuming CPU until their kill lands, which
-  is the throughput price the paper accepts.
+- a parallel backend's ``run_arms`` races the arms at the wall clock;
+- the default cost model runs the bodies on a
+  :class:`~repro.core.backends.SerialBackend` and then fills in the race
+  from a deterministic :class:`~repro.process.scheduler.ProcessorSharing`
+  schedule:
 
-State semantics are *not* simulated -- they are executed for real on the
+  - *setup*: the parent issues forks serially, so alternative ``i``
+    starts at ``(i + 1) * fork_latency``;
+  - *runtime*: each child's CPU demand is its standalone execution time
+    plus the COW copies for the pages it writes; demands contend on
+    ``cpus`` processors under egalitarian processor sharing;
+  - *selection*: the rendezvous costs ``sync_latency``; termination
+    instructions for the ``k-1`` siblings are issued at ``kill_latency``
+    apiece, before the parent resumes (synchronous elimination) or after
+    it (asynchronous).  Losers keep consuming CPU until their kill lands,
+    which is the throughput price the paper accepts.
+
+State semantics are never simulated -- they are executed for real on the
 paged store via :class:`~repro.process.ProcessManager`, so losers' writes
 provably never reach the parent.
 """
@@ -29,8 +42,7 @@ from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.alternative import AltContext, Alternative, GuardPlacement
 from repro.core.backends import (
@@ -42,12 +54,7 @@ from repro.core.backends import (
 )
 from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
 from repro.core.sequential import _run_body, _trace_guard_eval
-from repro.errors import (
-    AltBlockFailure,
-    AltTimeout,
-    PageApplyError,
-    ProcessStateError,
-)
+from repro.errors import AltBlockFailure, AltTimeout, PageApplyError
 from repro.independence import StepPlan, default_engine
 from repro.obs import events as _ev
 from repro.obs.export import BlockTrace
@@ -66,22 +73,6 @@ from repro.resilience.supervisor import (
     classify_outcome,
 )
 from repro.sim.costs import CostModel, MODERN_COMMODITY
-
-
-@dataclass
-class _ChildRun:
-    """Internal record of one spawned alternative's semantic execution."""
-
-    index: int
-    alternative: Alternative
-    child: SimProcess
-    succeeded: bool
-    value: object
-    detail: str
-    duration: float
-    pages_written: int
-    arrival: float
-    demand: float
 
 
 class ConcurrentExecutor:
@@ -137,7 +128,9 @@ class ConcurrentExecutor:
 
         Raises :class:`AltBlockFailure` when every alternative fails and
         :class:`AltTimeout` when no alternative succeeds inside
-        ``timeout`` simulated seconds.
+        ``timeout`` seconds.  Without a ``parent`` the block runs in a
+        fresh one that is released when the block ends (its pages may
+        pin shared-memory slabs the winner shipped home).
 
         When a :class:`~repro.obs.Tracer` is installed, the whole race
         lifecycle is recorded and the block's slice of the trace is
@@ -159,6 +152,9 @@ class ConcurrentExecutor:
                 arms=len(alternatives),
                 supervised=self.supervisor is not None,
             )
+        owned = parent is None
+        if owned:
+            parent = self.new_parent()
         try:
             result = self._dispatch(alternatives, parent)
         except (AltBlockFailure, AltTimeout) as exc:
@@ -175,6 +171,9 @@ class ConcurrentExecutor:
                 if autopsy is not None:
                     autopsy.trace = trace
             raise
+        finally:
+            if owned:
+                parent.space.release()
         if tracer.enabled:
             serial_sum = sum(
                 outcome.cpu_consumed or 0.0 for outcome in result.outcomes
@@ -194,12 +193,8 @@ class ConcurrentExecutor:
         return result
 
     def _dispatch(
-        self,
-        alternatives: Sequence[Alternative],
-        parent: Optional[SimProcess],
+        self, alternatives: Sequence[Alternative], parent: SimProcess
     ) -> AltResult:
-        rng = random.Random(self.seed)
-        parent = parent if parent is not None else self.new_parent()
         timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
         outcomes = [
             AltOutcome(index=i, name=a.name, status="untried")
@@ -215,28 +210,20 @@ class ConcurrentExecutor:
             error.elapsed = 0.0
             raise error
 
-        step_plan = self._step_plan(alternatives, spawnable)
-        if self.backend.is_parallel:
-            if self.supervisor is not None:
-                # Supervised races retry with fresh worlds; they keep the
-                # classic first-success selection.
-                return self._run_supervised(
-                    alternatives, spawnable, parent, outcomes, timeline
-                )
-            return self._run_real(
-                alternatives, spawnable, parent, outcomes, timeline,
-                step_plan=step_plan,
+        if not self.backend.is_parallel:
+            return self._run_model(
+                alternatives, spawnable, parent, outcomes, timeline
             )
-        runs = self._spawn_and_execute(
-            alternatives, spawnable, parent, outcomes, timeline, rng
+        if self.supervisor is not None:
+            # Supervised races retry with fresh worlds; they keep the
+            # classic first-success selection.
+            return self._run_supervised(
+                alternatives, spawnable, parent, outcomes, timeline
+            )
+        return self._run_backend(
+            alternatives, spawnable, parent, outcomes, timeline,
+            step_plan=self._step_plan(alternatives, spawnable),
         )
-        if step_plan is not None:
-            result = self._race_step(
-                alternatives, runs, parent, outcomes, timeline, step_plan
-            )
-            if result is not None:
-                return result
-        return self._race(alternatives, runs, parent, outcomes, timeline)
 
     def _step_plan(
         self, alternatives, spawnable
@@ -256,7 +243,7 @@ class ConcurrentExecutor:
         return default_engine.plan(declared, page_size)
 
     # ------------------------------------------------------------------
-    # phase 1: pre-spawn guard filtering
+    # pre-spawn guard filtering and spawning
 
     def _filter_before_spawn(self, alternatives, parent, outcomes, timeline):
         spawnable = list(range(len(alternatives)))
@@ -280,18 +267,20 @@ class ConcurrentExecutor:
                 timeline.append((0.0, f"{arm.name} closed (guard before spawn)"))
         return open_arms
 
-    # ------------------------------------------------------------------
-    # phase 2: spawn children and execute bodies for real
-
-    def _build_tasks(
-        self, alternatives, spawnable, children, with_tokens: bool
-    ) -> Tuple[List[ArmTask], Dict[int, AltContext]]:
-        """One :class:`ArmTask` per spawned arm, against its COW child."""
+    def _spawn(
+        self, alternatives, spawnable, parent, outcomes, backend_name: str,
+        with_tokens: bool,
+    ) -> Tuple[Dict[int, SimProcess], List[ArmTask]]:
+        """``alt_spawn`` the arms; one :class:`ArmTask` per COW child."""
+        children = dict(
+            zip(spawnable, self.manager.alt_spawn(parent, len(spawnable)))
+        )
         skip_pre_guard = self.guard_placement is GuardPlacement.BEFORE_SPAWN
+        tracer = _active_tracer()
         tasks: List[ArmTask] = []
-        contexts: Dict[int, AltContext] = {}
-        for index, child in zip(spawnable, children):
+        for index, child in children.items():
             arm = alternatives[index]
+            outcomes[index].pid = child.pid
             context = AltContext(
                 child.space,
                 rng=random.Random(self.seed * 1000003 + index),
@@ -301,7 +290,6 @@ class ConcurrentExecutor:
                 token=CancellationToken() if with_tokens else None,
             )
             context.trace_block = self._trace_block
-            contexts[index] = context
             if skip_pre_guard and arm.pre_guard is not None:
                 # Guard already passed in the parent; do not re-run it.
                 to_run = Alternative(
@@ -326,118 +314,211 @@ class ConcurrentExecutor:
                     rng_seed=self.seed * 1000003 + index,
                 )
             )
-        return tasks, contexts
-
-    def _spawn_and_execute(
-        self, alternatives, spawnable, parent, outcomes, timeline, rng
-    ) -> List[_ChildRun]:
-        children = self.manager.alt_spawn(parent, len(spawnable))
-        tasks, contexts = self._build_tasks(
-            alternatives, spawnable, children, with_tokens=False
-        )
-        tracer = _active_tracer()
-        if tracer.enabled:
-            for index, child in zip(spawnable, children):
+            if tracer.enabled:
                 tracer.emit(
                     _ev.ARM_SPAWN,
                     block=self._trace_block,
                     arm=index,
-                    name=alternatives[index].name,
+                    name=arm.name,
                     sim_pid=child.pid,
+                    backend=backend_name,
                 )
-        # Bodies run through the serial backend (the deterministic replay
-        # discipline); the race below is then decided by the timing model.
+        return children, tasks
+
+    # ------------------------------------------------------------------
+    # race producer 1: the cost model's processor-sharing schedule
+
+    def _run_model(
+        self, alternatives, spawnable, parent, outcomes, timeline
+    ) -> AltResult:
+        """Race the arms in virtual time.
+
+        The bodies run to completion on a :class:`SerialBackend` (the
+        deterministic replay discipline); a :class:`ProcessorSharing`
+        schedule then decides when each arm would have finished under
+        virtual concurrency and rewrites the race's reports, winner and
+        event labels accordingly.  A block whose step plan validates is
+        scheduled like a collect-all race -- nobody is killed -- so the
+        conclusion commits it as one step.
+        """
+        model = self.cost_model
+        children, tasks = self._spawn(
+            alternatives, spawnable, parent, outcomes, SerialBackend.name,
+            with_tokens=False,
+        )
         race = SerialBackend().run_arms(tasks)
-        runs: List[_ChildRun] = []
-        fork = self.cost_model.fork_latency
-        for spawn_slot, (index, child) in enumerate(zip(spawnable, children)):
-            arm = alternatives[index]
-            report = race.report(index)
-            arrival = (spawn_slot + 1) * fork
-            duration = arm.sample_cost(rng, contexts[index])
+        sched = ProcessorSharing(
+            cpus=self.cpus if self.cpus is not None else max(1, len(tasks))
+        )
+        rng = random.Random(self.seed)
+        for slot, task in enumerate(tasks):
+            arm = alternatives[task.index]
+            child = children[task.index]
+            arrival = (slot + 1) * model.fork_latency
+            duration = arm.sample_cost(rng, task.context)
             if self.guard_placement is GuardPlacement.IN_CHILD:
                 # The child evaluates its own guard as part of its run.
                 duration += arm.guard_cost
-            pages = child.space.pages_written
-            demand = duration + self.cost_model.page_copy_time(pages)
-            outcome = outcomes[index]
-            outcome.pid = child.pid
-            outcome.duration = duration
-            outcome.pages_written = pages
-            outcome.started_at = arrival
+            outcomes[task.index].duration = duration
+            race.report(task.index).started_at = arrival
             timeline.append((arrival, f"spawn {arm.name} (pid {child.pid})"))
-            runs.append(
-                _ChildRun(
-                    index=index,
-                    alternative=arm,
-                    child=child,
-                    succeeded=report.succeeded,
-                    value=report.value,
-                    detail=report.detail,
-                    duration=duration,
-                    pages_written=pages,
-                    arrival=arrival,
-                    demand=demand,
-                )
+            pages = child.space.pages_written
+            sched.add(
+                task.index,
+                arrival=arrival,
+                demand=duration + model.page_copy_time(pages),
             )
-        return runs
+        step_plan = self._step_plan(alternatives, spawnable)
+        if step_plan is not None:
+            writes, _ = self._step_writes(step_plan, race, children)
+            if writes is None:
+                step_plan = None
+        self._schedule(
+            race, sched, alternatives, collect=step_plan is not None
+        )
+        return self._conclude(
+            race, children, parent, outcomes, timeline, step_plan,
+            started=0.0, setup=len(tasks) * model.fork_latency,
+        )
+
+    def _schedule(
+        self,
+        race: BackendRace,
+        sched: ProcessorSharing,
+        alternatives: Sequence[Alternative],
+        collect: bool,
+    ) -> None:
+        """Fill ``race`` in from the processor-sharing schedule.
+
+        ``race.elapsed`` becomes the instant the parent completes the
+        winner's rendezvous (``sync_latency`` after the winner finishes,
+        plus its guard under ``AT_SYNC``) and ``race.total_seconds`` the
+        instant every arm is accounted for.  In ``collect`` mode every arm
+        runs to completion; otherwise the first success wins and each
+        sibling still running is killed ``kill_latency`` apart after the
+        rendezvous -- or every arm is cut off at the block deadline.
+        """
+        model = self.cost_model
+
+        def rendezvous(index: int, finished: float) -> float:
+            done = finished + model.sync_latency
+            if self.guard_placement is GuardPlacement.AT_SYNC:
+                # The parent re-evaluates the winner's guard here.
+                done += alternatives[index].guard_cost
+            return done
+
+        def label(report) -> str:
+            if report.succeeded:
+                return f"{report.name} synchronizes"
+            return f"{report.name} aborts: {report.detail}"
+
+        def cut_off(report, when: float, detail: str) -> None:
+            report.succeeded = report.abnormal = False
+            report.value = None
+            report.cancelled = True
+            report.detail = detail
+            report.finished_at = when
+
+        reports = {report.index: report for report in race.reports}
+        events: List[Tuple[float, str]] = []
+        winner: Optional[int] = None
+        if collect:
+            while (step := sched.step_to_next_completion()) is not None:
+                when, index = step
+                reports[index].finished_at = when
+                if winner is None and reports[index].succeeded:
+                    winner = index
+            events = [(r.finished_at, label(r)) for r in race.reports]
+            committers = [r.index for r in race.reports if r.succeeded]
+            race.elapsed = rendezvous(winner, reports[winner].finished_at)
+            race.total_seconds = rendezvous(
+                committers[0], max(reports[i].finished_at for i in committers)
+            )
+        else:
+            settled = set()
+            while (step := sched.step_to_next_completion()) is not None:
+                when, index = step
+                if self.timeout is not None and when > self.timeout:
+                    race.timed_out = True
+                    break
+                report = reports[index]
+                report.finished_at = when
+                settled.add(index)
+                events.append((when, label(report)))
+                if report.succeeded:
+                    winner = index
+                    break
+            if race.timed_out:
+                # The step that revealed the deadline may have over-run
+                # it; never move the schedule backwards.
+                if sched.now < self.timeout:
+                    sched.advance_to(self.timeout)
+                for report in race.reports:
+                    sched.cancel(report.index)
+                    if report.index not in settled:
+                        cut_off(report, self.timeout, "timeout")
+                race.elapsed = race.total_seconds = self.timeout
+            elif winner is None:
+                race.elapsed = race.total_seconds = sched.now
+            else:
+                synced = rendezvous(winner, reports[winner].finished_at)
+                losers = [
+                    report for report in race.reports
+                    if not sched.job(report.index).finished
+                ]
+                race.elapsed = race.total_seconds = synced
+                # Termination instructions go out serially after the
+                # rendezvous; losers burn CPU until theirs lands.
+                for slot, report in enumerate(losers):
+                    kill_at = synced + (slot + 1) * model.kill_latency
+                    sched.advance_to(kill_at)
+                    sched.cancel(report.index)
+                    cut_off(report, kill_at, "")
+                    events.append((kill_at, f"kill {report.name}"))
+                    race.total_seconds = kill_at
+        for report in race.reports:
+            report.work_seconds = sched.job(report.index).consumed
+        race.winner_index = winner
+        race.events = events
 
     # ------------------------------------------------------------------
-    # phase 2': the real race (parallel backends)
+    # race producer 2: a parallel backend at the wall clock
 
-    def _run_real(
+    def _run_backend(
         self, alternatives, spawnable, parent, outcomes, timeline,
         backend: Optional[ExecutionBackend] = None,
         step_plan: Optional[StepPlan] = None,
     ) -> AltResult:
         """Race the arms under genuine concurrency, fastest-first.
 
-        The backend decides the winner at the wall clock; this method
-        drives the simulated kernel to the same conclusion (``alt_sync``
-        for the winner, ``fail`` for aborted arms, ``alt_wait`` with
-        elimination for the cancelled losers) so the state semantics --
-        losers' writes never reach the parent -- are enforced by the same
-        mechanism as the deterministic path.
-
-        ``backend`` overrides ``self.backend`` (the supervisor's degraded
-        serial replay runs the same machinery on a ``SerialBackend``).
-        When a supervisor with an ``arm_deadline`` is configured, a
+        The backend decides the winner at the wall clock; the kernel's
+        termination instruction lands on each arm's cancellation token
+        (section 3.2.1, delivered for real).  ``backend`` overrides
+        ``self.backend`` (the supervisor's degraded serial replay runs
+        the same machinery on a ``SerialBackend``).  When a supervisor
+        with an ``arm_deadline`` is configured, a
         :class:`~repro.resilience.Watchdog` delivers the termination
         instruction to every arm still racing at the deadline and
         escalates to a forcible kill after its grace period.
         """
         backend = backend if backend is not None else self.backend
         spawn_start = _time.perf_counter()
-        children = self.manager.alt_spawn(parent, len(spawnable))
-        tasks, contexts = self._build_tasks(
-            alternatives, spawnable, children, with_tokens=True
+        children, tasks = self._spawn(
+            alternatives, spawnable, parent, outcomes, backend.name,
+            with_tokens=True,
         )
-        by_index = dict(zip(spawnable, children))
-        for index, child in by_index.items():
-            # The kernel's termination instruction lands on the arm's
-            # cancellation token (section 3.2.1, delivered for real).
+        for task in tasks:
             self.manager.attach_elimination_hook(
-                child.pid, contexts[index].token.cancel
+                children[task.index].pid, task.context.token.cancel
             )
         spawn_done = _time.perf_counter() - spawn_start
-        tracer = _active_tracer()
-        for index, child in by_index.items():
-            outcomes[index].pid = child.pid
+        for index, child in children.items():
             timeline.append(
                 (
                     spawn_done,
                     f"spawn {alternatives[index].name} (pid {child.pid})",
                 )
             )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.ARM_SPAWN,
-                    block=self._trace_block,
-                    arm=index,
-                    name=alternatives[index].name,
-                    sim_pid=child.pid,
-                    backend=backend.name,
-                )
 
         watchdog = None
         if (
@@ -445,15 +526,11 @@ class ConcurrentExecutor:
             and self.supervisor.arm_deadline is not None
             and backend.is_parallel
         ):
-            indexes = list(by_index)
-
             def _terminate(hard: bool) -> None:
-                for index in indexes:
-                    delivered = backend.terminate_arm(index, hard=hard)
+                for task in tasks:
+                    delivered = backend.terminate_arm(task.index, hard=hard)
                     if not delivered and not hard:
-                        token = contexts[index].token
-                        if token is not None:
-                            token.cancel()
+                        task.context.token.cancel()
 
             watchdog = Watchdog(
                 self.supervisor.arm_deadline,
@@ -479,176 +556,246 @@ class ConcurrentExecutor:
                         )
                     )
         self._last_race = race
+        for index in children:
+            outcomes[index].duration = race.report(index).work_seconds
         try:
-            return self._conclude_real(
-                race, by_index, parent, outcomes, timeline, spawn_done,
-                step_plan=step_plan,
+            return self._conclude(
+                race, children, parent, outcomes, timeline, step_plan,
+                started=spawn_done, setup=spawn_done,
             )
         finally:
-            for child in children:
+            for child in children.values():
                 self.manager.detach_elimination_hook(child.pid)
 
-    def _conclude_real(
+    # ------------------------------------------------------------------
+    # the conclusion
+
+    @staticmethod
+    def _stage_shipments(
+        race: BackendRace, children: Dict[int, SimProcess]
+    ) -> None:
+        """Replay every shipped page set into its arm's simulated space.
+
+        Arms that ran in another OS process sent their dirty pages home
+        as shared-memory slab pointers (adopted, no copy) or as pickled
+        images.  Every slab is disposed here whatever happens; a rejected
+        shipment demotes its arm to an abnormal failure, and a demoted
+        winner hands the rendezvous to the next success to finish.
+        """
+        for report in race.reports:
+            shipment, pages = report.shm_shipment, report.dirty_pages
+            if shipment is None and not pages:
+                continue
+            space = children[report.index].space
+            try:
+                if shipment is not None:
+                    space.apply_shm_pages(shipment)
+                else:
+                    space.apply_pages(pages)
+            except PageApplyError as exc:
+                report.succeeded = False
+                report.abnormal = True
+                report.detail = f"shipback rejected: {exc}"
+            finally:
+                if shipment is not None:
+                    # Adopted frames hold their own slab references now.
+                    shipment.slab.dispose()
+                report.shm_shipment = None
+                report.dirty_pages = None
+        winner = race.winner_index
+        if winner is not None and not race.report(winner).succeeded:
+            rest = [report for report in race.reports if report.succeeded]
+            race.winner_index = (
+                min(rest, key=lambda report: report.finished_at).index
+                if rest
+                else None
+            )
+
+    @staticmethod
+    def _step_writes(
+        plan: StepPlan, race: BackendRace, children: Dict[int, SimProcess]
+    ) -> Tuple[Optional[Dict[int, FrozenSet[int]]], Optional[str]]:
+        """The committers' dirty pages when ``race`` can end in one step.
+
+        Returns ``(writes, None)`` when two or more arms succeeded and
+        their actual writes validate against ``plan``, ``(None, problem)``
+        when validation refuses them, and ``(None, None)`` when the race
+        cannot end in a step at all.
+        """
+        committers = [
+            index for index in sorted(children) if race.report(index).succeeded
+        ]
+        if race.timed_out or len(committers) < 2:
+            return None, None
+        writes = {
+            index: frozenset(
+                default_engine.summarize(
+                    children[index].space.table.dirty_pages
+                )
+            )
+            for index in committers
+        }
+        problem = default_engine.validate(plan, writes)
+        if problem is not None:
+            return None, problem
+        return writes, None
+
+    def _conclude(
         self,
         race: BackendRace,
-        by_index: Dict[int, SimProcess],
+        children: Dict[int, SimProcess],
         parent: SimProcess,
         outcomes: List[AltOutcome],
         timeline: List[Tuple[float, str]],
-        spawn_done: float,
-        step_plan: Optional[StepPlan] = None,
+        step_plan: Optional[StepPlan],
+        started: float,
+        setup: float,
     ) -> AltResult:
-        if step_plan is not None:
-            result = self._conclude_step(
-                race, by_index, parent, outcomes, timeline, spawn_done,
-                step_plan,
-            )
-            if result is not None:
-                return result
-            # Step ineligible (a lone success, an abnormal death, a
-            # failed validation): fall back to the classic first-success
-            # conclusion.  Non-winner shipments would leak their slabs
-            # through the classic path, so dispose them now.
-            self._dispose_extra_shipments(race)
-        winner_index = race.winner_index
-        for when, label in race.events:
-            timeline.append((spawn_done + when, label))
+        """End the block: the one conclusion path every race takes.
 
-        # Per-arm bookkeeping, read *before* alt_wait releases loser spaces.
-        wasted = 0.0
-        for index, child in by_index.items():
+        ``race`` times are relative to ``started`` on the block's clock;
+        ``setup`` is the section 4 setup overhead.  With a ``step_plan``
+        every success whose writes validate commits as one maximal step
+        (no winner semaphore, no kills); otherwise -- or when the step is
+        refused -- the first success synchronizes and its siblings are
+        eliminated.  With no success the block fails or times out.
+        """
+        for when, label in race.events:
+            timeline.append((started + when, label))
+        self._stage_shipments(race, children)
+        # Per-arm bookkeeping, read before the commit releases spaces.
+        for index, child in children.items():
             report = race.report(index)
             outcome = outcomes[index]
-            outcome.duration = report.work_seconds
-            outcome.started_at = spawn_done + report.started_at
-            outcome.finished_at = spawn_done + report.finished_at
+            outcome.started_at = started + report.started_at
+            outcome.finished_at = started + report.finished_at
             outcome.cpu_consumed = report.work_seconds
-            if report.page_transport is None and report.dirty_pages is None:
-                outcome.pages_written = child.space.pages_written
-            else:
-                outcome.pages_written = report.pages_written
-            if index != winner_index:
-                wasted += report.work_seconds
-            if report.succeeded:
-                if index != winner_index:
-                    # A serial replay runs every arm to completion; later
-                    # successes lose the rendezvous like any too-late arm.
-                    outcome.status = "eliminated"
-                    outcome.detail = "synchronized too late; sibling already won"
-                continue
-            if report.cancelled and winner_index is not None:
-                # Eliminated loser: alt_wait terminates it below.
-                outcome.status = "eliminated"
-                outcome.detail = report.detail
-            else:
-                self.manager.fail(child)
-                outcome.status = "eliminated" if report.cancelled else "failed"
-                outcome.detail = report.detail
+            outcome.pages_written = (
+                child.space.pages_written
+                if report.page_transport is None
+                else report.pages_written
+            )
+
+        committers: Optional[List[int]] = None
+        if step_plan is not None:
+            writes, problem = self._step_writes(step_plan, race, children)
+            if problem is not None:
+                timeline.append(
+                    (
+                        started + race.total_seconds,
+                        f"maximal step refused: {problem}",
+                    )
+                )
+            if writes is not None:
+                committers = sorted(writes)
+                try:
+                    self.manager.alt_step_commit(
+                        parent,
+                        [children[index] for index in committers],
+                        {
+                            children[index].pid: sorted(writes[index])
+                            for index in committers[1:]
+                        },
+                    )
+                except PageApplyError as exc:
+                    timeline.append(
+                        (
+                            started + race.total_seconds,
+                            f"maximal step graft refused: {exc}",
+                        )
+                    )
+                    committers = None
 
         tracer = _active_tracer()
-        if winner_index is None:
+        if committers is not None:
+            # The step is order-free: the committed block's winner is the
+            # lowest-index committer on every backend and every schedule.
+            winner = race.winner_index = committers[0]
+            for index in children:
+                outcome = outcomes[index]
+                if index in committers:
+                    outcome.value = race.report(index).value
+                    outcome.status = "committed"
+                else:
+                    outcome.status = "failed"
+                    outcome.detail = race.report(index).detail
             if tracer.enabled:
-                for index in by_index:
-                    if outcomes[index].status == "eliminated":
-                        report = race.report(index)
-                        tracer.emit(
-                            _ev.LOSER_ELIMINATE,
-                            block=self._trace_block,
-                            arm=index,
-                            name=report.name,
-                            latency_seconds=0.0,
-                            detail=report.detail or "timeout",
+                tracer.emit(
+                    _ev.INDEP_STEP,
+                    block=self._trace_block,
+                    name="maximal-step",
+                    arms=list(committers),
+                    pages=sum(len(writes[index]) for index in committers),
+                )
+                for index in committers:
+                    tracer.emit(
+                        _ev.MAXIMAL_COMMIT,
+                        block=self._trace_block,
+                        arm=index,
+                        name=race.report(index).name,
+                        pages=len(writes[index]),
+                        primary=index == winner,
+                    )
+            win_time = started + max(
+                race.report(index).finished_at for index in committers
+            )
+            resume_at = started + race.total_seconds
+            resumes = "parent resumes (maximal step)"
+        else:
+            winner = race.winner_index
+            for index, child in children.items():
+                report = race.report(index)
+                outcome = outcomes[index]
+                if report.succeeded:
+                    if index != winner:
+                        # Every arm ran to completion (a serial replay or
+                        # a refused step); later successes lose the
+                        # rendezvous like any too-late arm.
+                        outcome.status = "eliminated"
+                        outcome.detail = (
+                            "synchronized too late; sibling already won"
                         )
-            elapsed = spawn_done + race.total_seconds
-            if race.timed_out:
-                timeline.append((elapsed, "alt_wait TIMEOUT"))
-                try:
-                    self.manager.alt_wait(parent, timed_out=True)
-                except (AltTimeout, AltBlockFailure):
-                    pass
-                error: Exception = AltTimeout(
-                    f"no alternative succeeded within {self.timeout} seconds"
-                )
-                error.partial_reports = tuple(
-                    {
-                        "index": report.index,
-                        "name": report.name,
-                        "state": classify_outcome(
-                            report.succeeded,
-                            report.cancelled,
-                            report.abnormal,
-                            report.detail,
-                            report.exit_signal,
-                            winner_exists=False,
-                        ),
-                        "elapsed": report.work_seconds,
-                    }
-                    for report in race.reports
-                )
-            else:
-                timeline.append((elapsed, "block FAILED"))
-                try:
-                    self.manager.alt_wait(parent)
-                except AltBlockFailure:
-                    pass
-                error = AltBlockFailure(
-                    f"all {len(by_index)} spawned alternatives failed"
-                )
-            error.outcomes = outcomes
-            error.elapsed = elapsed
-            error.timeline = timeline
-            raise error
-
-        winner_report = race.report(winner_index)
-        winner_child = by_index[winner_index]
-        winner_child.space.trace_block = self._trace_block
-        if winner_report.shm_shipment is not None:
-            # The winner's dirty pages already sit in a shared-memory
-            # slab: commit is a pointer swap, no page image is copied.
-            shipment = winner_report.shm_shipment
-            try:
-                winner_child.space.apply_shm_pages(shipment)
-            except PageApplyError as exc:
-                self._demote_winner(
-                    race, winner_index, by_index, parent, outcomes,
-                    timeline, spawn_done, exc,
-                )
-            finally:
-                # Adopted frames hold their own slab references now; the
-                # shipment's creation reference is done either way.
-                shipment.slab.dispose()
-        elif winner_report.dirty_pages:
-            # The winner ran in another OS process: replay its page images
-            # into the simulated child space before the commit swap.
-            try:
-                winner_child.space.apply_pages(winner_report.dirty_pages)
-            except PageApplyError as exc:
-                # The shipment is unusable: demote the "winner" to an
-                # abnormal failure (the parent's space is untouched) and
-                # let the block fail -- the supervisor may retry it.
-                self._demote_winner(
-                    race, winner_index, by_index, parent, outcomes,
-                    timeline, spawn_done, exc,
-                )
-        won = self.manager.alt_sync(winner_child, guard_ok=True)
-        assert won, "first successful completion must win the rendezvous"
+                    continue
+                outcome.detail = report.detail
+                if report.cancelled and (
+                    winner is not None or race.timed_out
+                ):
+                    # Eliminated loser: alt_wait terminates it below.
+                    outcome.status = "eliminated"
+                else:
+                    self.manager.fail(child)
+                    outcome.status = (
+                        "eliminated" if report.cancelled else "failed"
+                    )
+            if winner is None:
+                self._fail(race, children, parent, outcomes, timeline, started)
+            committers = [winner]
+            won = self.manager.alt_sync(children[winner], guard_ok=True)
+            assert won, "first successful completion must win the rendezvous"
+        winner_report = race.report(winner)
+        winner_outcome = outcomes[winner]
+        winner_outcome.status = "won"
+        winner_outcome.value = winner_report.value
         if tracer.enabled:
             tracer.emit(
                 _ev.WINNER_COMMIT,
                 block=self._trace_block,
-                arm=winner_index,
+                arm=winner,
                 name=winner_report.name,
-                pages=outcomes[winner_index].pages_written,
+                pages=winner_outcome.pages_written,
                 work_seconds=winner_report.work_seconds,
+                maximal_step=len(committers) > 1,
             )
-        self.manager.alt_wait(parent, elimination=self.elimination)
-        if self.elimination is EliminationMode.ASYNCHRONOUS:
-            self.manager.drain_eliminations(winner_child.group_id)
-        if tracer.enabled:
-            for index in by_index:
-                if index == winner_index:
-                    continue
-                if outcomes[index].status == "eliminated":
+
+        sharing_delay = 0.0
+        if len(committers) == 1:
+            self.manager.alt_wait(parent, elimination=self.elimination)
+            if self.elimination is EliminationMode.ASYNCHRONOUS:
+                self.manager.drain_eliminations(children[winner].group_id)
+            if tracer.enabled:
+                for index in children:
+                    if outcomes[index].status != "eliminated":
+                        continue
                     report = race.report(index)
                     tracer.emit(
                         _ev.LOSER_ELIMINATE,
@@ -661,24 +808,31 @@ class ConcurrentExecutor:
                         ),
                         detail=report.detail,
                     )
+            win_time = started + winner_report.finished_at
+            if self.elimination is EliminationMode.SYNCHRONOUS:
+                # The parent resumes only once every sibling is gone.
+                resume_at = started + race.total_seconds
+            else:
+                resume_at = started + race.elapsed
+            resumes = "parent resumes"
+            # CPU cycles the winner lost to sharing with its siblings
+            # (section 4.2); zero at the wall clock by construction.
+            demand = winner_outcome.duration + self.cost_model.page_copy_time(
+                winner_outcome.pages_written
+            )
+            sharing_delay = max(
+                0.0,
+                winner_report.finished_at - winner_report.started_at - demand,
+            )
 
-        win_time = spawn_done + race.elapsed
-        if self.elimination is EliminationMode.SYNCHRONOUS:
-            # The parent resumes only once every sibling is accounted for.
-            resume_at = spawn_done + race.total_seconds
-        else:
-            resume_at = win_time
-        winner_outcome = outcomes[winner_index]
-        winner_outcome.status = "won"
-        winner_outcome.value = winner_report.value
-        winner_outcome.finished_at = win_time
-        timeline.append((resume_at, "parent resumes"))
+        timeline.append((resume_at, resumes))
         timeline.sort(key=lambda event: event[0])
         overhead = OverheadBreakdown(
-            setup=spawn_done,
+            setup=setup,
             runtime=self.cost_model.page_copy_time(
                 winner_outcome.pages_written
-            ),
+            )
+            + sharing_delay,
             selection=max(0.0, resume_at - win_time),
         )
         return AltResult(
@@ -687,547 +841,71 @@ class ConcurrentExecutor:
             outcomes=outcomes,
             elapsed=resume_at,
             overhead=overhead,
-            wasted_work=wasted,
-            timeline=timeline,
-            page_transport=winner_report.page_transport
-            or race.page_transport,
-        )
-
-    # ------------------------------------------------------------------
-    # maximal-step conclusion (shared independence engine, section 4's
-    # selection-overhead optimisation: no winner semaphore, no kills)
-
-    @staticmethod
-    def _dispose_extra_shipments(race: BackendRace) -> None:
-        """Drop slabs of non-winning successes before a classic fallback."""
-        for report in race.reports:
-            if report.index == race.winner_index:
-                continue
-            if report.shm_shipment is not None:
-                report.shm_shipment.slab.dispose()
-                report.shm_shipment = None
-
-    def _emit_step_events(
-        self, committers, actual, reports, winner_index
-    ) -> None:
-        tracer = _active_tracer()
-        if not tracer.enabled:
-            return
-        tracer.emit(
-            _ev.INDEP_STEP,
-            block=self._trace_block,
-            name="maximal-step",
-            arms=list(committers),
-            pages=sum(len(actual[index]) for index in committers),
-        )
-        for index in committers:
-            tracer.emit(
-                _ev.MAXIMAL_COMMIT,
-                block=self._trace_block,
-                arm=index,
-                name=reports[index].name,
-                pages=len(actual[index]),
-                primary=index == winner_index,
-            )
-
-    def _conclude_step(
-        self,
-        race: BackendRace,
-        by_index: Dict[int, SimProcess],
-        parent: SimProcess,
-        outcomes: List[AltOutcome],
-        timeline: List[Tuple[float, str]],
-        spawn_done: float,
-        plan: StepPlan,
-    ) -> Optional[AltResult]:
-        """Commit every successful arm as one validated step.
-
-        Returns ``None`` whenever the step is ineligible (fewer than two
-        successes, an abnormal death, a rejected shipment, a failed
-        disjointness validation, a refused graft); the caller then takes
-        the classic first-success path on the very same race.
-        """
-        if race.timed_out or race.winner_index is None:
-            return None
-        reports = {index: race.report(index) for index in by_index}
-        if any(report.abnormal for report in reports.values()):
-            return None
-        committers = sorted(
-            index for index, report in reports.items() if report.succeeded
-        )
-        if len(committers) < 2:
-            return None
-        # Stage cross-process shipments into each committer's simulated
-        # space, so the dirty sets below reflect the real writes.
-        for index in committers:
-            report = reports[index]
-            child = by_index[index]
-            try:
-                if report.shm_shipment is not None:
-                    shipment = report.shm_shipment
-                    try:
-                        child.space.apply_shm_pages(shipment)
-                    finally:
-                        shipment.slab.dispose()
-                        report.shm_shipment = None
-                elif report.dirty_pages:
-                    child.space.apply_pages(report.dirty_pages)
-                    report.dirty_pages = None
-            except PageApplyError as exc:
-                report.succeeded = False
-                report.abnormal = True
-                report.detail = f"step shipback rejected: {exc}"
-                if race.winner_index == index:
-                    rest = [
-                        i for i, r in reports.items() if r.succeeded
-                    ]
-                    race.winner_index = (
-                        min(rest, key=lambda i: reports[i].finished_at)
-                        if rest
-                        else None
-                    )
-                return None
-        actual = {
-            index: frozenset(
-                default_engine.summarize(
-                    by_index[index].space.table.dirty_pages
-                )
-            )
-            for index in committers
-        }
-        problem = default_engine.validate(plan, actual)
-        if problem is not None:
-            timeline.append(
+            wasted_work=sum(
                 (
-                    spawn_done + race.total_seconds,
-                    f"maximal step refused: {problem}",
-                )
-            )
-            return None
-
-        # Bookkeeping first: the kernel commit below releases the
-        # secondaries' spaces.
-        wasted = 0.0
-        for index, child in by_index.items():
-            report = reports[index]
-            outcome = outcomes[index]
-            outcome.duration = report.work_seconds
-            outcome.started_at = spawn_done + report.started_at
-            outcome.finished_at = spawn_done + report.finished_at
-            outcome.cpu_consumed = report.work_seconds
-            if report.page_transport is None:
-                outcome.pages_written = child.space.pages_written
-            else:
-                outcome.pages_written = report.pages_written
-            if index not in committers:
-                wasted += report.work_seconds
-
-        pages_map = {
-            by_index[index].pid: sorted(actual[index])
-            for index in committers[1:]
-        }
-        try:
-            self.manager.alt_step_commit(
-                parent, [by_index[index] for index in committers], pages_map
-            )
-        except PageApplyError as exc:
-            timeline.append(
-                (
-                    spawn_done + race.total_seconds,
-                    f"maximal step graft refused: {exc}",
-                )
-            )
-            return None
-
-        # The step is order-free: the committed block's winner is the
-        # lowest-index committer on every backend and every schedule.
-        winner_index = committers[0]
-        race.winner_index = winner_index
-        winner_report = reports[winner_index]
-        for index in committers:
-            outcome = outcomes[index]
-            outcome.value = reports[index].value
-            outcome.status = "committed" if index != winner_index else "won"
-        for index, report in reports.items():
-            if index in committers:
-                continue
-            outcomes[index].status = "failed"
-            outcomes[index].detail = report.detail
-
-        self._emit_step_events(committers, actual, reports, winner_index)
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=self._trace_block,
-                arm=winner_index,
-                name=winner_report.name,
-                pages=outcomes[winner_index].pages_written,
-                work_seconds=winner_report.work_seconds,
-                maximal_step=True,
-            )
-
-        win_time = spawn_done + max(
-            reports[index].finished_at for index in committers
-        )
-        resume_at = spawn_done + race.total_seconds
-        timeline.append((resume_at, "parent resumes (maximal step)"))
-        timeline.sort(key=lambda event: event[0])
-        overhead = OverheadBreakdown(
-            setup=spawn_done,
-            runtime=self.cost_model.page_copy_time(
-                outcomes[winner_index].pages_written
+                    race.report(index).work_seconds
+                    for index in children
+                    if index not in committers
+                ),
+                0.0,
             ),
-            selection=max(0.0, resume_at - win_time),
-        )
-        return AltResult(
-            value=winner_report.value,
-            winner=outcomes[winner_index],
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
             timeline=timeline,
-            page_transport=winner_report.page_transport
-            or race.page_transport,
+            page_transport=winner_report.page_transport or race.page_transport,
         )
 
-    def _race_step(
-        self, alternatives, runs, parent, outcomes, timeline, plan
-    ) -> Optional[AltResult]:
-        """The deterministic-timing twin of :meth:`_conclude_step`.
-
-        Every body already ran to completion (the serial discipline), so
-        the step needs no collect mode: validate the successes' dirty
-        sets, commit them as one step, and charge only ``sync_latency``
-        as selection overhead -- no termination instructions are issued
-        because the step has no losers to kill.
-        """
-        committers = sorted(run.index for run in runs if run.succeeded)
-        if len(committers) < 2:
-            return None
-        by_index = {run.index: run for run in runs}
-        actual = {
-            index: frozenset(
-                default_engine.summarize(
-                    by_index[index].child.space.table.dirty_pages
-                )
-            )
-            for index in committers
-        }
-        if default_engine.validate(plan, actual) is not None:
-            return None
-        pages_map = {
-            by_index[index].child.pid: sorted(actual[index])
-            for index in committers[1:]
-        }
-        try:
-            self.manager.alt_step_commit(
-                parent,
-                [by_index[index].child for index in committers],
-                pages_map,
-            )
-        except PageApplyError:
-            return None
-
-        model = self.cost_model
-        cpus = self.cpus if self.cpus is not None else max(1, len(runs))
-        sched = ProcessorSharing(cpus=cpus)
-        for run in runs:
-            sched.add(run.index, arrival=run.arrival, demand=run.demand)
-        completion: Dict[int, float] = {}
-        while True:
-            step = sched.step_to_next_completion()
-            if step is None:
-                break
-            when, index = step
-            completion[index] = when
-
-        winner_index = committers[0]
-        winner_run = by_index[winner_index]
-        wasted = 0.0
-        for run in runs:
-            outcome = outcomes[run.index]
-            finished = completion.get(run.index, sched.now)
-            outcome.cpu_consumed = sched.job(run.index).consumed
-            outcome.finished_at = finished
-            if run.succeeded:
-                outcome.status = (
-                    "won" if run.index == winner_index else "committed"
-                )
-                outcome.value = run.value
-                timeline.append(
-                    (finished, f"{run.alternative.name} synchronizes")
-                )
-            else:
-                outcome.status = "failed"
-                outcome.detail = run.detail
-                wasted += sched.job(run.index).consumed
-                timeline.append(
-                    (finished, f"{run.alternative.name} aborts: {run.detail}")
-                )
-
-        win_time = max(completion[index] for index in committers)
-        sync_done = win_time + model.sync_latency
-        if self.guard_placement is GuardPlacement.AT_SYNC:
-            sync_done += alternatives[winner_index].guard_cost
-        resume_at = sync_done
-
-        self._emit_step_events(
-            committers,
-            actual,
-            {index: by_index[index].alternative for index in committers},
-            winner_index,
-        )
+    def _fail(self, race, children, parent, outcomes, timeline, started):
+        """No arm synchronized: eliminate the rest and raise."""
+        elapsed = started + race.total_seconds
         tracer = _active_tracer()
         if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=self._trace_block,
-                arm=winner_index,
-                name=winner_run.alternative.name,
-                pages=winner_run.pages_written,
-                sim_time=win_time,
-                maximal_step=True,
-            )
-        timeline.append((resume_at, "parent resumes (maximal step)"))
-        timeline.sort(key=lambda event: event[0])
-        overhead = OverheadBreakdown(
-            setup=len(runs) * model.fork_latency,
-            runtime=model.page_copy_time(winner_run.pages_written),
-            selection=resume_at - win_time,
-        )
-        return AltResult(
-            value=winner_run.value,
-            winner=outcomes[winner_index],
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=timeline,
-        )
-
-    # ------------------------------------------------------------------
-    # phase 3: the timing race + at-most-once selection
-
-    def _race(self, alternatives, runs, parent, outcomes, timeline) -> AltResult:
-        model = self.cost_model
-        cpus = self.cpus if self.cpus is not None else max(1, len(runs))
-        sched = ProcessorSharing(cpus=cpus)
-        by_index = {run.index: run for run in runs}
-        for run in runs:
-            sched.add(run.index, arrival=run.arrival, demand=run.demand)
-
-        winner_run: Optional[_ChildRun] = None
-        win_time: Optional[float] = None
-        while True:
-            step = sched.step_to_next_completion()
-            if step is None:
-                break
-            time, index = step
-            run = by_index[index]
-            if self.timeout is not None and time > self.timeout:
-                return self._timeout(parent, sched, runs, outcomes, timeline)
-            if run.succeeded:
-                winner_run = run
-                win_time = time
-                timeline.append((time, f"{run.alternative.name} synchronizes"))
-                break
-            self.manager.fail(run.child)
-            outcomes[index].status = "failed"
-            outcomes[index].detail = run.detail
-            outcomes[index].finished_at = time
-            timeline.append(
-                (time, f"{run.alternative.name} aborts: {run.detail}")
-            )
-
-        if winner_run is None:
-            for run in runs:
-                outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-            error = AltBlockFailure(
-                f"all {len(runs)} spawned alternatives failed"
-            )
-            error.outcomes = outcomes
-            error.elapsed = sched.now
-            # The kernel-level wait also observes the failure.
-            try:
-                self.manager.alt_wait(parent)
-            except AltBlockFailure:
-                pass
-            timeline.append((sched.now, "block FAILED"))
-            error.timeline = timeline
-            raise error
-
-        # At-most-once synchronization through the kernel.
-        assert win_time is not None
-        won = self.manager.alt_sync(winner_run.child, guard_ok=True)
-        assert won, "first successful completion must win the rendezvous"
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=self._trace_block,
-                arm=winner_run.index,
-                name=winner_run.alternative.name,
-                pages=winner_run.pages_written,
-                sim_time=win_time,
-            )
-
-        losers = [run for run in runs if run is not winner_run
-                  and not sched.job(run.index).finished]
-        sync_done = win_time + model.sync_latency
-        if self.guard_placement is GuardPlacement.AT_SYNC:
-            # The parent re-evaluates the winner's guard at the rendezvous.
-            sync_done += winner_run.alternative.guard_cost
-        # Termination instructions are issued serially after the sync.
-        kill_times = {
-            run.index: sync_done + (slot + 1) * model.kill_latency
-            for slot, run in enumerate(losers)
-        }
-        # Losers burn CPU until their kill lands.
-        for run in losers:
-            sched.advance_to(kill_times[run.index])
-            sched.cancel(run.index)
-            outcomes[run.index].status = "eliminated"
-            outcomes[run.index].finished_at = kill_times[run.index]
-            timeline.append(
-                (kill_times[run.index], f"kill {run.alternative.name}")
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.LOSER_ELIMINATE,
-                    block=self._trace_block,
-                    arm=run.index,
-                    name=run.alternative.name,
-                    latency_seconds=kill_times[run.index] - win_time,
-                    sim_time=kill_times[run.index],
-                )
-        last_kill = max(kill_times.values(), default=sync_done)
-
-        if self.elimination is EliminationMode.SYNCHRONOUS:
-            resume_at = max(sync_done, last_kill)
-            selection = resume_at - win_time
-        else:
-            resume_at = sync_done
-            selection = sync_done - win_time
-        self.manager.alt_wait(parent, elimination=self.elimination)
-        if self.elimination is EliminationMode.ASYNCHRONOUS:
-            self.manager.drain_eliminations(winner_run.child.group_id)
-
-        winner_outcome = outcomes[winner_run.index]
-        winner_outcome.status = "won"
-        winner_outcome.value = winner_run.value
-        winner_outcome.finished_at = win_time
-        for run in runs:
-            outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-        timeline.append((resume_at, "parent resumes"))
-
-        sharing_delay = win_time - winner_run.arrival - winner_run.demand
-        overhead = OverheadBreakdown(
-            setup=len(runs) * model.fork_latency,
-            runtime=(
-                model.page_copy_time(winner_run.pages_written)
-                + max(0.0, sharing_delay)
-            ),
-            selection=selection,
-        )
-        return AltResult(
-            value=winner_run.value,
-            winner=winner_outcome,
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=sched.wasted_work(winner_run.index),
-            timeline=timeline,
-        )
-
-    def _timeout(self, parent, sched, runs, outcomes, timeline):
-        # The scheduler may already sit past the deadline (the stepping
-        # that *revealed* the timeout over-ran it); never move backwards.
-        if sched.now < self.timeout:
-            sched.advance_to(self.timeout)
-        tracer = _active_tracer()
-        for run in runs:
-            job = sched.job(run.index)
-            if not job.finished:
-                sched.cancel(run.index)
-            outcomes[run.index].cpu_consumed = sched.job(run.index).consumed
-            if outcomes[run.index].status == "untried":
-                outcomes[run.index].status = "eliminated"
-                outcomes[run.index].detail = "timeout"
-                if tracer.enabled:
+            for index in children:
+                if outcomes[index].status == "eliminated":
+                    report = race.report(index)
                     tracer.emit(
                         _ev.LOSER_ELIMINATE,
                         block=self._trace_block,
-                        arm=run.index,
-                        name=run.alternative.name,
+                        arm=index,
+                        name=report.name,
                         latency_seconds=0.0,
-                        detail="timeout",
-                        sim_time=self.timeout,
+                        detail=report.detail or "timeout",
                     )
-        timeline.append((self.timeout, "alt_wait TIMEOUT"))
+        if race.timed_out:
+            timeline.append((elapsed, "alt_wait TIMEOUT"))
+            error: Exception = AltTimeout(
+                f"no alternative succeeded within {self.timeout} seconds"
+            )
+            error.partial_reports = tuple(
+                {
+                    "index": report.index,
+                    "name": report.name,
+                    "state": classify_outcome(
+                        report.succeeded,
+                        report.cancelled,
+                        report.abnormal,
+                        report.detail,
+                        report.exit_signal,
+                        winner_exists=False,
+                    ),
+                    "elapsed": report.work_seconds,
+                }
+                for report in race.reports
+            )
+        else:
+            timeline.append((elapsed, "block FAILED"))
+            error = AltBlockFailure(
+                f"all {len(children)} spawned alternatives failed"
+            )
         try:
-            self.manager.alt_wait(parent, timed_out=True)
+            self.manager.alt_wait(parent, timed_out=race.timed_out)
         except (AltTimeout, AltBlockFailure):
             pass
-        error = AltTimeout(
-            f"no alternative succeeded within {self.timeout} seconds"
-        )
-        error.partial_reports = tuple(
-            {
-                "index": outcome.index,
-                "name": outcome.name,
-                "state": outcome.status,
-                "elapsed": outcome.cpu_consumed,
-            }
-            for outcome in outcomes
-        )
         error.outcomes = outcomes
-        error.elapsed = self.timeout
+        error.elapsed = elapsed
         error.timeline = timeline
         raise error
 
     # ------------------------------------------------------------------
     # supervision: retries, degradation, autopsies
-
-    def _demote_winner(
-        self, race, winner_index, by_index, parent, outcomes, timeline,
-        spawn_done, exc,
-    ) -> None:
-        """A winner whose page shipment was rejected did not really win.
-
-        The parent's space is untouched (``apply_pages`` validates before
-        writing); every child is failed through the kernel so the block
-        concludes as an :class:`AltBlockFailure` with the rejection
-        recorded on the would-be winner's report.
-        """
-        report = race.report(winner_index)
-        report.succeeded = False
-        report.abnormal = True
-        report.detail = f"winner shipback rejected: {exc}"
-        race.winner_index = None
-        outcome = outcomes[winner_index]
-        outcome.status = "failed"
-        outcome.detail = report.detail
-        elapsed = spawn_done + race.total_seconds
-        timeline.append((elapsed, f"{report.name} shipback rejected"))
-        for child in by_index.values():
-            try:
-                self.manager.fail(child)
-            except ProcessStateError:
-                pass  # already failed or eliminated above
-        try:
-            self.manager.alt_wait(parent)
-        except AltBlockFailure:
-            pass
-        timeline.append((elapsed, "block FAILED"))
-        error = AltBlockFailure(
-            f"winning alternative's page shipment was rejected: {exc}"
-        )
-        error.outcomes = outcomes
-        error.elapsed = elapsed
-        error.timeline = timeline
-        raise error
 
     def _reset_outcomes(self, alternatives, spawnable, outcomes) -> None:
         """Fresh 'untried' outcome slots for a retry / degraded attempt."""
@@ -1301,7 +979,7 @@ class ConcurrentExecutor:
     ) -> AltResult:
         """The supervised race loop: retry, degrade, always report.
 
-        Each attempt is a full :meth:`_run_real` race against *fresh* COW
+        Each attempt is a full :meth:`_run_backend` race against *fresh* COW
         children (a failed ``alt_wait`` restores the parent to RUNNABLE,
         so retries re-spawn from the parent's untouched world).  Abnormal
         deaths are retried with exponential backoff; when the final real
@@ -1325,7 +1003,7 @@ class ConcurrentExecutor:
                 self._reset_outcomes(alternatives, spawnable, outcomes)
             self._last_race = None
             try:
-                result = self._run_real(
+                result = self._run_backend(
                     alternatives, spawnable, parent, outcomes, timeline
                 )
             except AltTimeout as exc:
@@ -1415,12 +1093,12 @@ class ConcurrentExecutor:
             try:
                 if sup.clean_replay:
                     with _fault_registry.suppressed():
-                        result = self._run_real(
+                        result = self._run_backend(
                             alternatives, spawnable, parent, outcomes,
                             timeline, backend=SerialBackend(),
                         )
                 else:
-                    result = self._run_real(
+                    result = self._run_backend(
                         alternatives, spawnable, parent, outcomes,
                         timeline, backend=SerialBackend(),
                     )

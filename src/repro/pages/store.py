@@ -15,7 +15,9 @@ a frame just to slice it.
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from typing import Callable, Dict, Optional
 
 from repro.pages.page import DEFAULT_PAGE_SIZE, zero_page
@@ -43,6 +45,12 @@ class PageStore:
         self._zero_frame: Optional[int] = None
         self.total_allocations = 0
         """Cumulative frames ever allocated (for overhead accounting)."""
+        # A store dropped while it still holds adopted external frames
+        # (a caller-owned parent that was never released) must not pin
+        # their buffers' owners -- shared-memory slabs -- forever.
+        weakref.finalize(
+            self, _release_external, self._frames, self._external, os.getpid()
+        )
 
     # ------------------------------------------------------------------
 
@@ -255,3 +263,24 @@ class PageStore:
         return (
             f"PageStore(page_size={self.page_size}, live_frames={self.live_frames})"
         )
+
+
+def _release_external(frames, external, creator_pid: int) -> None:
+    """Run the release callbacks of every external frame still held.
+
+    The finalizer of a collected :class:`PageStore`.  Only the process
+    that built the store releases: a forked child that drops an
+    inherited copy must leave the parent's buffers alone.
+    """
+    if os.getpid() != creator_pid:
+        return
+    callbacks = []
+    for frame_id, on_release in list(external.items()):
+        data = frames.pop(frame_id, None)
+        if isinstance(data, memoryview):
+            data.release()
+        if on_release is not None:
+            callbacks.append(on_release)
+    external.clear()
+    for on_release in callbacks:
+        on_release()

@@ -221,8 +221,7 @@ class PageTable:
 
     def release(self) -> None:
         """Drop every frame reference (process exit or elimination)."""
-        for frame in self._entries.values():
-            self.store.decref(frame)
+        self.store.decref_many(self._entries.values())
         self._entries = {}
         self._dirty = set()
 
@@ -241,8 +240,7 @@ class PageTable:
         """
         if other.store is not self.store:
             raise ValueError("cannot adopt a table from a different store")
-        for frame in self._entries.values():
-            self.store.decref(frame)
+        self.store.decref_many(self._entries.values())
         self._entries = other._entries
         if "adopt-replace-dirty" in _TEST_MUTATIONS:
             # Test-only regression seed: the pre-fix behaviour that

@@ -424,6 +424,9 @@ class RaceServer:
                     name: parent.space.get(name)
                     for name in parent.space.names()
                 }
+                # The copies are taken: drop the pages (and the winner's
+                # shared-memory slab they may pin).
+                parent.space.release()
         except BaseException as exc:  # noqa: BLE001 - ticket carries it
             ticket.error = repr(exc)
         finally:

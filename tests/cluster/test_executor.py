@@ -232,10 +232,27 @@ class TestConsensus:
         assert parent.space.get("result") == 42
         # The winner's requester holds a sticky majority on the daemons.
         grants = sum(
-            1 for d in daemons if d.voter.granted_to("block") is not None
+            1 for d in daemons
+            if d.voter.granted_to(executor.decision_id) is not None
         )
         assert grants >= 2
         parent.space.release()
+
+    def test_one_executor_commits_consecutive_blocks(self, cluster):
+        """Sticky grants are per decision: a long-lived executor asks a
+        fresh one per block, so no later block is denied and degraded."""
+        _, endpoints = cluster
+        executor = make_executor(
+            endpoints, use_consensus=True, race_timeout=5.0
+        )
+        for _ in range(3):
+            parent = executor.new_parent()
+            with tracing() as tracer:
+                result = executor.run(one_success_block(), parent=parent)
+            assert _ev.DEGRADE not in [event.kind for event in tracer.events]
+            assert result.winner.name == "the-answer"
+            assert parent.space.get("result") == 42
+            parent.space.release()
 
     def test_minority_of_dead_voters_does_not_block_commit(self, cluster):
         daemons, endpoints = cluster

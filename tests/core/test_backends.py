@@ -209,13 +209,28 @@ class TestSerialReplay:
 
 class TestParallelRacing:
     @pytest.mark.parametrize(
-        "backend", parallel_backends(), ids=lambda b: b.name
+        "backend,extra_racers",
+        [pytest.param(b, 0, id=b.name) for b in parallel_backends()]
+        + (
+            [
+                pytest.param(
+                    ProcessBackend(kill_grace=2.0), 10, id="process-12-racers"
+                )
+            ]
+            if HAS_FORK
+            else []
+        ),
     )
-    def test_wall_clock_winner_and_loser_cancellation(self, backend):
+    def test_wall_clock_winner_and_loser_cancellation(
+        self, backend, extra_racers
+    ):
         slow_cost = 2.0
         arms = [
             cooperative_arm("slow", steps=200, value=1),  # 2.0 s standalone
             cooperative_arm("fast", steps=5, value=2),  # 0.05 s standalone
+        ] + [
+            cooperative_arm(f"slow-{i}", steps=200, value=1)
+            for i in range(extra_racers)
         ]
         executor = ConcurrentExecutor(backend=backend)
         started = time.perf_counter()
@@ -225,26 +240,54 @@ class TestParallelRacing:
         assert result.value == 2
         # The block concluded far sooner than the slow arm's full cost.
         assert wall < slow_cost * 0.5
-        loser = result.outcome("slow")
-        assert loser.status == "eliminated"
-        # Cancelled losers record strictly less work than their full cost.
-        assert 0.0 < loser.cpu_consumed < slow_cost
-        assert result.wasted_work < slow_cost
+        losers = [o for o in result.outcomes if o.name != "fast"]
+        for loser in losers:
+            assert loser.status == "eliminated"
+            # Cancelled losers record strictly less work than their cost.
+            assert 0.0 < loser.cpu_consumed < slow_cost
+        assert result.wasted_work < slow_cost * len(losers)
         assert result.wasted_work == pytest.approx(
-            loser.cpu_consumed, abs=1e-9
+            sum(loser.cpu_consumed for loser in losers), abs=1e-9
         )
 
     @pytest.mark.parametrize(
-        "backend", parallel_backends(), ids=lambda b: b.name
+        "backend,blob",
+        [pytest.param(b, None, id=b.name) for b in parallel_backends()]
+        + (
+            [
+                pytest.param(
+                    ProcessBackend(kill_grace=2.0),
+                    list(range(50_000)),
+                    id="process-large-payload",
+                )
+            ]
+            if HAS_FORK
+            else []
+        ),
     )
-    def test_winner_writes_reach_parent(self, backend):
-        executor = ConcurrentExecutor(backend=backend)
+    def test_winner_writes_reach_parent(self, backend, blob):
+        host_memory = {"owner": "parent"}
+        fast = cooperative_arm("fast", steps=2, value=2)
+        space_size = 64 * 1024
+        if blob is not None:
+            space_size = 1024 * 1024  # the pickled blob spans many pages
+            plain = fast.body
+
+            def fast_body(ctx):
+                # A forked arm's write to inherited host memory is a real
+                # copy-on-write fault: it never reaches this process.
+                host_memory["owner"] = "child"
+                ctx.put("blob", blob)
+                return plain(ctx)
+
+            fast = Alternative("fast", body=fast_body, cost=fast.cost)
+        executor = ConcurrentExecutor(backend=backend, space_size=space_size)
         parent = executor.new_parent()
         parent.space.put("base", "preloaded")
         result = executor.run(
             [
                 cooperative_arm("slow", steps=100, value=1),
-                cooperative_arm("fast", steps=2, value=2),
+                fast,
             ],
             parent=parent,
         )
@@ -252,6 +295,9 @@ class TestParallelRacing:
         assert parent.space.get("who") == "fast"
         assert parent.space.get("finished_fast") is True
         assert parent.space.get("base") == "preloaded"
+        if blob is not None:
+            assert parent.space.get("blob") == blob
+            assert host_memory == {"owner": "parent"}
 
     @pytest.mark.parametrize(
         "backend", parallel_backends(), ids=lambda b: b.name

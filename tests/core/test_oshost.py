@@ -1,4 +1,9 @@
-"""Tests for real-process racing on the host's COW fork."""
+"""Real-process racing on the host's COW fork.
+
+Every arm is a forked child of this process (``ProcessBackend``); the
+first to synchronize wins, its writes come home, and its siblings are
+killed and reaped.
+"""
 
 import os
 import time
@@ -6,7 +11,8 @@ import time
 import pytest
 
 from repro.core.alternative import Alternative
-from repro.core.oshost import OsHost
+from repro.core.backends import ProcessBackend
+from repro.core.concurrent import ConcurrentExecutor
 from repro.errors import AltBlockFailure, AltTimeout
 
 pytestmark = pytest.mark.skipif(
@@ -14,99 +20,137 @@ pytestmark = pytest.mark.skipif(
 )
 
 
+def fork_executor(**kwargs):
+    """An executor whose arms race as forked host processes."""
+    return ConcurrentExecutor(backend=ProcessBackend(kill_grace=0.5), **kwargs)
+
+
 class TestRace:
     def test_fastest_callable_wins(self):
-        def fast(api):
+        def fast(ctx):
             return "fast"
 
-        def slow(api):
+        def slow(ctx):
             time.sleep(5.0)
             return "slow"
 
-        result = OsHost().race([slow, fast], names=["slow", "fast"])
+        started = time.perf_counter()
+        result = fork_executor().run(
+            [Alternative("slow", body=slow), Alternative("fast", body=fast)]
+        )
         assert result.value == "fast"
         assert result.winner.name == "fast"
-        assert result.elapsed < 4.0
+        assert time.perf_counter() - started < 4.0
 
     def test_failure_lets_slower_win(self):
-        def failing(api):
-            api.fail("bad guard")
+        def failing(ctx):
+            ctx.fail("bad guard")
 
-        def steady(api):
+        def steady(ctx):
             time.sleep(0.05)
             return 42
 
-        result = OsHost().race([failing, steady], names=["failing", "steady"])
+        result = fork_executor().run(
+            [
+                Alternative("failing", body=failing),
+                Alternative("steady", body=steady),
+            ]
+        )
         assert result.value == 42
         assert result.outcomes[0].status == "failed"
 
     def test_exception_counts_as_failure(self):
-        def crasher(api):
+        def crasher(ctx):
             raise RuntimeError("boom")
 
-        def winner(api):
+        def winner(ctx):
+            time.sleep(0.05)
             return "ok"
 
-        result = OsHost().race([crasher, winner])
+        result = fork_executor().run(
+            [
+                Alternative("crasher", body=crasher),
+                Alternative("winner", body=winner),
+            ]
+        )
         assert result.value == "ok"
+        assert result.outcome("crasher").status == "failed"
 
     def test_all_fail_raises(self):
-        def failing(api):
-            api.fail("no")
+        def failing(ctx):
+            ctx.fail("no")
 
         with pytest.raises(AltBlockFailure):
-            OsHost().race([failing, failing])
+            fork_executor().run(
+                [Alternative("a", body=failing), Alternative("b", body=failing)]
+            )
 
     def test_timeout(self):
-        def sleeper(api):
-            time.sleep(30.0)
+        def sleeper(ctx):
+            time.sleep(30.0)  # no cancellation points: must be killed
             return 1
 
+        started = time.perf_counter()
         with pytest.raises(AltTimeout):
-            OsHost(timeout=0.2).race([sleeper])
+            fork_executor(timeout=0.2).run([Alternative("sleeper", body=sleeper)])
+        assert time.perf_counter() - started < 10.0
 
-    def test_losers_are_killed(self):
-        def fast(api):
+    def test_losers_are_killed(self, tmp_path):
+        pid_file = tmp_path / "hang.pid"
+
+        def fast(ctx):
+            # Win only once the loser is provably running.
+            deadline = time.monotonic() + 10.0
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             return os.getpid()
 
-        def hang(api):
+        def hang(ctx):
+            partial = tmp_path / "hang.pid.tmp"
+            partial.write_text(str(os.getpid()))
+            partial.rename(pid_file)
             time.sleep(60.0)
 
-        result = OsHost().race([fast, hang], names=["fast", "hang"])
-        hang_outcome = result.outcomes[1]
-        assert hang_outcome.status == "killed"
-        # The killed pid must be gone (waitpid already reaped it).
+        result = fork_executor().run(
+            [Alternative("fast", body=fast), Alternative("hang", body=hang)]
+        )
+        assert result.winner.name == "fast"
+        assert result.value != os.getpid()  # the winner ran in a child
+        assert result.outcome("hang").status == "eliminated"
+        hang_pid = int(pid_file.read_text())
+        # The killed pid must be gone (the race already reaped it).
         with pytest.raises(OSError):
-            os.kill(hang_outcome.pid, 0)
+            os.kill(hang_pid, 0)
 
     def test_child_isolation_is_real_cow(self):
         """A child's mutation of inherited memory is invisible here."""
         shared = {"value": "parent"}
 
-        def mutator(api):
+        def mutator(ctx):
             shared["value"] = "child"
             time.sleep(0.05)
             return shared["value"]
 
-        result = OsHost().race([mutator])
+        result = fork_executor().run([Alternative("mutator", body=mutator)])
         assert result.value == "child"
         assert shared["value"] == "parent"
 
     def test_exports_come_back(self):
-        def producer(api):
-            api.export("rows", [1, 2, 3])
+        def producer(ctx):
+            ctx.put("rows", [1, 2, 3])
             return "done"
 
-        result = OsHost().race([producer])
-        assert result.exports == {"rows": [1, 2, 3]}
+        executor = fork_executor()
+        parent = executor.new_parent()
+        result = executor.run(
+            [Alternative("producer", body=producer)], parent=parent
+        )
+        assert result.value == "done"
+        assert parent.space.get("rows") == [1, 2, 3]
 
     def test_empty_race_rejected(self):
         with pytest.raises(ValueError):
-            OsHost().race([])
-
-    def test_mismatched_names_rejected(self):
-        with pytest.raises(ValueError):
-            OsHost().race([lambda api: 1], names=["a", "b"])
+            fork_executor().run([])
 
 
 class TestAlternativeFrontEnd:
@@ -119,89 +163,53 @@ class TestAlternativeFrontEnd:
             time.sleep(3.0)
             return "slow"
 
-        result = OsHost().run(
+        executor = fork_executor()
+        parent = executor.new_parent()
+        result = executor.run(
             [
                 Alternative("slow", body=slow_body),
                 Alternative("fast", body=fast_body),
-            ]
+            ],
+            parent=parent,
         )
         assert result.value == "fast"
-        assert result.exports["who"] == "fast"
+        assert parent.space.get("who") == "fast"
 
     def test_guard_in_child(self):
+        def safe_body(ctx):
+            time.sleep(0.05)
+            return 1
+
         arm = Alternative(
             "guarded",
             body=lambda ctx: -5,
             guard=lambda ctx, value: value > 0,
         )
-        safe = Alternative("safe", body=lambda ctx: 1)
-        result = OsHost().run([arm, safe])
+        safe = Alternative("safe", body=safe_body)
+        result = fork_executor().run([arm, safe])
         assert result.value == 1
+        assert result.outcome("guarded").status == "failed"
 
     def test_pre_guard_closes_arm(self):
         closed = Alternative(
             "closed", body=lambda ctx: "x", pre_guard=lambda ctx: False
         )
         open_arm = Alternative("open", body=lambda ctx: "y")
-        result = OsHost().run([closed, open_arm])
+        result = fork_executor().run([closed, open_arm])
         assert result.value == "y"
-
-
-class TestForkMeasurement:
-    def test_measures_positive_latency(self):
-        from repro.core.oshost import measure_fork_cost
-
-        measurement = measure_fork_cost(
-            space_bytes=64 * 1024, fraction_written=0.0, trials=3
-        )
-        assert measurement.mean_seconds > 0
-        assert measurement.min_seconds <= measurement.mean_seconds
-        assert measurement.mean_seconds <= measurement.max_seconds
-        assert measurement.trials == 3
-
-    def test_writing_pages_costs_more(self):
-        from repro.core.oshost import measure_fork_cost
-
-        size = 8 * 1024 * 1024  # large enough for faults to dominate noise
-        clean = measure_fork_cost(size, fraction_written=0.0, trials=3)
-        dirty = measure_fork_cost(size, fraction_written=1.0, trials=3)
-        # The paper's independent variable at work on real hardware; use
-        # a generous margin because wall-clock noise is real.
-        assert dirty.mean_seconds > clean.mean_seconds * 0.8
-
-    def test_validation(self):
-        from repro.core.oshost import measure_fork_cost
-
-        with pytest.raises(ValueError):
-            measure_fork_cost(fraction_written=1.5)
-        with pytest.raises(ValueError):
-            measure_fork_cost(trials=0)
+        assert result.winner.name == "open"
 
 
 class TestOsHostStress:
-    def test_many_racers(self):
-        def make(index):
-            def racer(api):
-                time.sleep(0.01 * (index + 1))
-                return index
-
-            return racer
-
-        result = OsHost(timeout=30.0).race([make(i) for i in range(12)])
-        assert result.value == 0
-        killed = sum(1 for o in result.outcomes if o.status == "killed")
-        assert killed >= 10
-
     def test_large_export_payload(self):
-        def producer(api):
-            api.export("blob", list(range(50_000)))
+        def producer(ctx):
+            ctx.put("blob", list(range(50_000)))
             return "ok"
 
-        result = OsHost().race([producer])
-        assert len(result.exports["blob"]) == 50_000
-
-    def test_sequential_reuse_of_host(self):
-        host = OsHost()
-        for round_number in range(3):
-            result = host.race([lambda api, r=round_number: r])
-            assert result.value == round_number
+        executor = fork_executor(space_size=1024 * 1024)
+        parent = executor.new_parent()
+        result = executor.run(
+            [Alternative("producer", body=producer)], parent=parent
+        )
+        assert result.value == "ok"
+        assert len(parent.space.get("blob")) == 50_000

@@ -162,3 +162,32 @@ class TestReaping:
             result = executor.run(block(n=3))
         assert result.value == "v0"
         assert_no_unreaped_children()
+
+
+class TestFdCeiling:
+    def test_block_runs_with_fd_numbers_past_fd_setsize(self):
+        """``select()`` cannot watch an fd numbered 1024 or more; a
+        long-lived process gets there, and its blocks must still race."""
+        import resource
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        wanted = 1200
+        if hard != resource.RLIM_INFINITY and hard < wanted:
+            pytest.skip(f"hard RLIMIT_NOFILE {hard} is below {wanted}")
+        if soft != resource.RLIM_INFINITY and soft < wanted:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (wanted, hard))
+        base = os.open(os.devnull, os.O_RDONLY)
+        held = [base]
+        try:
+            while held[-1] < 1023:
+                held.append(os.dup(base))
+            executor = ConcurrentExecutor(
+                backend=ProcessBackend(kill_grace=0.5, pool=None)
+            )
+            result = executor.run(block())
+            assert result.value == "v0"
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert_no_unreaped_children()
