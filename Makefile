@@ -17,14 +17,15 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -q -m "not slow"
 
 ## coverage: line coverage over src/repro, gated at 80% on the obs,
-## check, independence, and server subsystems (requires pytest-cov; CI
-## installs it).
+## check, independence, and server subsystems and at 90% on the sans-IO
+## distributed race core (requires pytest-cov; CI installs it).
 coverage:
 	$(PYTHON) -m pytest tests/ -q --cov=repro --cov-report=term-missing
 	$(PYTHON) -m coverage report --include="*/repro/obs/*" --fail-under=80
 	$(PYTHON) -m coverage report --include="*/repro/check/*" --fail-under=80
 	$(PYTHON) -m coverage report --include="*/repro/independence/*" --fail-under=80
 	$(PYTHON) -m coverage report --include="*/repro/server/*" --fail-under=80
+	$(PYTHON) -m coverage report --include="*/repro/net/race.py" --fail-under=90
 
 ## test-resilience: the fault-injection smoke CI runs per injector seed.
 ## Uses a hard per-test timeout when pytest-timeout is available (a hung
@@ -35,26 +36,27 @@ test-resilience:
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=60 --timeout-method=thread")
 
 ## test-chaos: the distributed chaos soak CI runs per seed -- faulty
-## links, leases, journal recovery, and the serial-equivalence matrix
-## over every scenario in CHAOS_SCENARIOS.
+## links, leases, journal recovery, the serial-equivalence matrix over
+## every scenario in CHAOS_SCENARIOS, and the race core's unit suite.
 REPRO_CHAOS_SEED ?= 0
 test-chaos:
 	REPRO_CHAOS_SEED=$(REPRO_CHAOS_SEED) $(PYTHON) -m pytest \
-		tests/net/test_chaos.py tests/ipc/test_reliable_channel.py \
-		tests/ipc/test_journal.py -q \
+		tests/net/test_chaos.py tests/net/test_race.py \
+		tests/ipc/test_reliable_channel.py tests/ipc/test_journal.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=120 --timeout-method=thread")
 
 ## test-cluster: the real-wire cluster runtime -- TCP worker daemons,
 ## the impairment-proxy chaos matrix, zombie epoch fencing, journal
 ## torn-write recovery, authenticated gossip membership (HMAC frames,
 ## truncation/tamper sweeps, phi-accrual suspicion, worker re-join),
-## the per-endpoint circuit breaker, and the subprocess acceptance
+## the per-endpoint circuit breaker, the race core's unit suite and the
+## simulated/socket twin-parity test, and the subprocess acceptance
 ## tests (real SIGKILL mid-race, respawn-and-rejoin, router
 ## kill-and-replay).  Per-test timeout when pytest-timeout is
 ## available (a hang here means a lost daemon).
 test-cluster:
 	REPRO_CHAOS_SEED=$(REPRO_CHAOS_SEED) $(PYTHON) -m pytest \
-		tests/cluster tests/resilience/test_breaker.py \
+		tests/cluster tests/net/test_race.py tests/resilience/test_breaker.py \
 		tests/ipc/test_journal_durable.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=180 --timeout-method=thread")
 

@@ -16,15 +16,21 @@ majority-consensus synchronization, router journal replay -- runs here on
 - :mod:`repro.cluster.proxy` replays the seeded ``CHAOS_SCENARIOS`` on
   the real wire: a frame-aware impairment proxy drops, duplicates,
   reorders, delays, and partitions framed traffic deterministically;
-- :mod:`repro.cluster.executor` is the home-node race driver (the socket
-  transport of :class:`~repro.net.distributed.DistributedAltExecutor`):
-  leases over real heartbeat connections, SIGKILLed daemons detected by
-  connection drop or lease expiry and re-spawned under a fresh epoch,
-  healed-partition zombies fenced at winner-commit, degradation to a
-  home-node serial replay when the cluster cannot answer;
+- :mod:`repro.cluster.executor` is the home-node race driver.  The race
+  itself -- placement, leases and epochs, the commit fence, loser
+  elimination, degradation to a home-node serial replay -- is
+  :class:`~repro.net.race.Race`, the sans-IO core that the simulated
+  :class:`~repro.net.distributed.DistributedAltExecutor` drives too;
+  :class:`ClusterExecutor` is its *socket* driver: it dials and ships,
+  pumps heartbeats, results and connection drops off real sockets into
+  the core, sweeps leases on the wall clock, and runs the consensus
+  round, so a SIGKILLed daemon is detected by connection drop or lease
+  expiry and re-spawned under a fresh epoch, and a healed-partition
+  zombie is fenced at winner-commit;
 - :mod:`repro.cluster.semaphore` runs the Thomas-1979 majority-consensus
   0-1 semaphore (paper section 3.4) across the worker daemons' voter
-  endpoints instead of in-process node objects;
+  endpoints instead of in-process node objects, under the same quorum
+  rule (:func:`~repro.consensus.majority.tally`);
 - :mod:`repro.cluster.router_service` makes `RouterJournal`-backed crash
   restart a live service: the router daemon journals write-ahead to disk
   and a SIGKILLed incarnation is rebuilt by replay on restart;

@@ -1,30 +1,29 @@
 """The home node of the real-wire cluster: race arms across daemons.
 
-:class:`ClusterExecutor` is :class:`~repro.net.distributed.
-DistributedAltExecutor` with the simulated substrate swapped out for
-sockets and wall clocks:
+:class:`ClusterExecutor` is the *socket* driver of
+:class:`~repro.net.race.Race`, the sans-IO section 3.4 race core that the
+simulated :class:`~repro.net.distributed.DistributedAltExecutor` drives
+too.  The core decides placement, leases, the epoch fence, commit and
+elimination; this module only moves bytes and reads the wall clock:
 
-- the parent image is checkpointed once and *actually shipped* (section
-  4.1: "in the distributed case we must actually copy state for a remote
-  child") to each worker daemon in a framed ``ship`` record;
-- the remote child's dirty pages come home in its ``result`` record and
-  are written into the parent's storage before the parent resumes;
-- leases are renewed by real heartbeat records on the ship connection;
-  the warden's deadlines are wall-clock instants, and an expired lease
-  triggers a respawn on the next endpoint under a fresh incarnation
-  epoch, with the stale connection left open on purpose: a
-  healed-partition zombie's late winner shipment must *arrive* so the
-  epoch fence can reject it at commit (the observable form of the
-  section 3.4 at-most-once argument);
+- it dials each placed daemon, runs the handshake, and ships the parent
+  image once per arm in a framed ``ship`` record (section 4.1: "in the
+  distributed case we must actually copy state for a remote child");
+- one receiver thread per connection pumps heartbeats, results and
+  connection drops into a single event queue, which the home loop hands
+  to the core stamped with the wall clock;
+- a wall-clock sweep lapses every lease whose deadline passed, and a
+  stale connection is left open on purpose: a healed-partition zombie's
+  late winner shipment must *arrive* so the epoch fence can reject it
+  (the observable form of the section 3.4 at-most-once argument);
+- synchronization is first-finisher-commits at home or a
+  :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore` round across
+  the daemons' voters (``use_consensus=True``);
 - sibling elimination is a ``cancel`` record -- a termination message
-  with genuine network latency, naturally asynchronous;
-- synchronization is either first-finisher-commits at home or a
-  :class:`~repro.cluster.semaphore.ClusterMajoritySemaphore` round
-  across the daemons' voters (``use_consensus=True``);
-- when nothing can commit -- no endpoint reachable, respawns exhausted,
-  consensus starved below quorum -- the block degrades to a serial
-  replay on the home node with faults suppressed, the same last resort
-  as the simulated path.
+  with genuine network latency, naturally asynchronous.
+
+Per-endpoint circuit breakers and the optional membership table decide
+which endpoints the core may place on, across blocks.
 
 Determinism caveat, stated honestly: on a real wire the *interleaving*
 is the kernel's, so unlike the simulated executor the timeline here is
@@ -38,30 +37,26 @@ image.  The chaos suite asserts exactly that.
 from __future__ import annotations
 
 import queue
-import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.auth import AuthError, dial_handshake, load_secret
 from repro.cluster.membership import MembershipTable
 from repro.cluster.semaphore import ClusterMajoritySemaphore
-from repro.cluster.stream import RecordStream, StreamClosed, connect
+from repro.cluster.stream import StreamClosed, connect
 from repro.core.alternative import Alternative
-from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
-from repro.core.selection import OrderedPolicy
-from repro.core.sequential import SequentialExecutor
-from repro.errors import AltBlockFailure, ConsensusUnavailable
-from repro.net.lease import Lease, RaceWarden
+from repro.core.result import AltResult, OverheadBreakdown
+from repro.errors import ConsensusUnavailable
+from repro.net.lease import RaceWarden
+from repro.net.race import Incarnation, Race, bracket
 from repro.obs import events as _ev
-from repro.obs.tracer import active as _active_tracer
 from repro.pages.store import PageStore
 from repro.process.primitives import ProcessManager
 from repro.process.process import SimProcess
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.injector import active as _active_injector, suppressed
 
 
 @dataclass(frozen=True)
@@ -78,28 +73,6 @@ class WorkerEndpoint:
 
     def __str__(self) -> str:
         return f"{self.name}@{self.host}:{self.port}"
-
-
-@dataclass
-class _Assignment:
-    """One incarnation of one arm shipped to one endpoint."""
-
-    index: int
-    arm: Alternative
-    endpoint: WorkerEndpoint
-    epoch: int
-    lease: Lease
-    stream: RecordStream
-    started: float
-    """Wall instant (relative to block entry) the shipment left home."""
-
-    stale: bool = False
-    """The warden gave up on this incarnation (lease lapsed or the
-    connection dropped).  The stream stays open so a zombie's late
-    result still arrives -- and gets fenced."""
-
-    finished: bool = False
-    thread: Optional[threading.Thread] = None
 
 
 class ClusterExecutor:
@@ -160,11 +133,6 @@ class ClusterExecutor:
         """A fresh parent world on the home node."""
         return self.manager.create_initial(space_size=space_size)
 
-    def _rng_for(self, purpose: str, index: int) -> random.Random:
-        """Keyed RNG, the FaultInjector convention: independent of how
-        many draws other arms or earlier incarnations consumed."""
-        return random.Random(f"{self.seed}:{purpose}:{index}")
-
     # ------------------------------------------------------------------
     # endpoint health plumbing
 
@@ -212,9 +180,6 @@ class ClusterExecutor:
         if self.membership is not None:
             self.membership.observe_failure(endpoint.name, detail=detail)
 
-    def _note_endpoint_success(self, endpoint: WorkerEndpoint) -> None:
-        self._breaker(endpoint).record_success()
-
     # ------------------------------------------------------------------
 
     def run(
@@ -223,294 +188,137 @@ class ClusterExecutor:
         parent: Optional[SimProcess] = None,
     ) -> AltResult:
         """Execute the block, one arm per daemon (round-robin beyond)."""
-        if not alternatives:
-            raise ValueError("an alternative block needs at least one arm")
+        return bracket(
+            "cluster", alternatives, True,
+            lambda block: self._race(
+                Race(alternatives, self.warden, self.seed, block), parent
+            ),
+        )
+
+    def _race(self, race: Race, parent: Optional[SimProcess]) -> AltResult:
         parent = parent if parent is not None else self.new_parent()
-        tracer = _active_tracer()
-        block = tracer.next_block() if tracer.enabled else None
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_BEGIN,
-                block=block,
-                name=f"alt-block#{block} [cluster]",
-                backend="cluster",
-                arms=len(alternatives),
-                supervised=True,
-            )
-        try:
-            result = self._run_inner(alternatives, parent, block)
-        except AltBlockFailure as exc:
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.BLOCK_END,
-                    block=block,
-                    outcome=type(exc).__name__,
-                    elapsed_seconds=float(getattr(exc, "elapsed", 0.0) or 0.0),
-                )
-            raise
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_END,
-                block=block,
-                outcome="won",
-                winner=result.winner.name,
-                elapsed_seconds=result.elapsed,
-            )
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _run_inner(self, alternatives, parent, block) -> AltResult:
         t0 = time.monotonic()
         clock = lambda: time.monotonic() - t0  # noqa: E731
-        timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
-        outcomes = [
-            AltOutcome(index=i, name=a.name, status="untried")
-            for i, a in enumerate(alternatives)
-        ]
         image = parent.space.read(0, parent.space.size)
         events: "queue.Queue" = queue.Queue()
-        live: List[_Assignment] = []     # lease still governs these
-        stale: List[_Assignment] = []    # kept open for zombie fencing
-        tried: Dict[int, List[str]] = {i: [] for i in range(len(alternatives))}
-        attempts: Dict[int, int] = {i: 0 for i in range(len(alternatives))}
-        dead: Set[str] = set()
-        fenced = 0
 
-        for index, arm in enumerate(alternatives):
-            assignment = self._ship(
-                index, arm, image, parent.space.size, tried, attempts,
-                dead, outcomes, timeline, events, clock, block,
-            )
-            if assignment is not None:
-                live.append(assignment)
+        def ship(index: int) -> None:
+            self._ship(race, index, image, parent.space.size, events, clock)
 
-        winner_msg: Optional[dict] = None
-        winner_assignment: Optional[_Assignment] = None
-        semaphore = None
-        if self.use_consensus:
-            # The voting population is the live rotation.  With the
-            # membership table fully dark (every member dead, statics
-            # buried with them) fall back to the static list rather
-            # than crash on an empty quorum; with no endpoints at all,
-            # skip the semaphore entirely -- results are then rejected
-            # as consensus-unavailable and the documented ladder
-            # (reroute -> respawn -> serial replay) stays in charge.
-            voters = [e.address for e in self._rotation()] or [
-                e.address for e in self.endpoints
-            ]
-            if voters:
-                semaphore = ClusterMajoritySemaphore(
-                    voters, requester=self.home, secret=self._key
-                )
-            self.decision_id = f"block-{uuid.uuid4().hex}"
-        consensus_starved = False
-        tracer = _active_tracer()
-
-        while live and winner_msg is None and clock() < self.race_timeout:
+        for index in range(len(race.arms)):
+            ship(index)
+        ask = self._ballot()
+        winner: Optional[Tuple[Incarnation, dict, float]] = None
+        while race.live() and clock() < self.race_timeout:
             wait = min(
-                [a.lease.deadline - clock() for a in live] + [0.05]
+                [inc.lease.deadline - clock() for inc in race.live()] + [0.05]
             )
             try:
-                item = events.get(timeout=max(wait, 0.001))
+                kind, inc, payload = events.get(timeout=max(wait, 0.001))
             except queue.Empty:
-                item = None
+                kind = None
             now = clock()
-            if item is not None:
-                kind, assignment, payload = item
-                if kind == "hb":
-                    self._on_heartbeat(assignment, payload, now)
-                elif kind == "result":
-                    assignment.finished = True
-                    self._note_endpoint_success(assignment.endpoint)
-                    ok, reason = self._commit_check(assignment, payload)
-                    if ok and self.use_consensus:
-                        if semaphore is None:
-                            timeline.append(
-                                (now, "consensus unavailable: "
-                                      "no voting endpoints")
-                            )
-                            ok, reason = False, "consensus-unavailable"
-                        else:
-                            ok, reason = self._consensus_round(
-                                semaphore, self.decision_id, assignment,
-                                timeline, clock,
-                            )
-                        consensus_starved = (
-                            consensus_starved or reason == "consensus-unavailable"
-                        )
-                    if ok:
-                        winner_msg = payload
-                        winner_assignment = assignment
-                        break
-                    self._reject(
-                        assignment, payload, reason, outcomes,
-                        timeline, now, block,
+            if kind == "hb":
+                # Any heartbeat -- even a zombie epoch's -- proves the
+                # *endpoint* is alive, so breaker and membership hear it.
+                self._breaker(inc.node).record_success()
+                if self.membership is not None:
+                    self.membership.observe_ping(inc.worker)
+                race.renew(inc, now, payload.get("epoch"))
+            elif kind == "result":
+                self._breaker(inc.node).record_success()
+                inc.duration = float(payload.get("duration") or 0.0)
+                inc.pages = int(payload.get("pages_written") or 0)
+                if race.admit(inc, now, bool(payload.get("ok")),
+                              payload.get("detail") or "",
+                              epoch=payload.get("epoch")) \
+                        and race.vote(inc, now, ask):
+                    winner = (inc, payload, now)
+                    break
+            elif kind == "drop":
+                race.emit(
+                    _ev.CONN_DROP, arm=inc.index, name=inc.worker,
+                    epoch=inc.epoch, torn=payload.torn, detail=str(payload),
+                )
+                if not (inc.stale or inc.finished):
+                    race.note(now, f"connection to {inc.worker} dropped "
+                                   f"({'torn' if payload.torn else 'closed'})")
+                    race.lapse(inc, now, dead=True)
+                    self._note_endpoint_failure(
+                        inc.node, f"conn-drop: {payload}"
                     )
-                    if reason in ("stale-epoch-fence", "lease-expired"):
-                        fenced += 1
-                    if (not assignment.stale
-                            and reason not in ("consensus-denied",)):
-                        # A definitive remote failure: the arm is done,
-                        # its lease settles with the race.
-                        live = [a for a in live if a is not assignment]
-                        stale.append(assignment)
-                elif kind == "drop":
-                    self._on_drop(assignment, payload, timeline, now, block)
-                    if not assignment.stale and not assignment.finished:
-                        assignment.stale = True
-                        if not assignment.lease.terminal:
-                            assignment.lease.expire(now)
-                        dead.add(str(assignment.endpoint))
-                        self._note_endpoint_failure(
-                            assignment.endpoint,
-                            f"conn-drop: {payload}",
-                        )
-                        live = [a for a in live if a is not assignment]
-                        stale.append(assignment)
-                        replacement = self._respawn(
-                            assignment, image, parent.space.size, tried,
-                            attempts, dead, outcomes, timeline, events,
-                            clock, block,
-                        )
-                        if replacement is not None:
-                            live.append(replacement)
+                    if race.respawn(inc, now):
+                        ship(inc.index)
             # Wall-clock lease sweep: silence past a deadline is death.
-            now = clock()
-            for assignment in list(live):
-                if assignment.lease.terminal or assignment.finished:
-                    continue
-                if now >= assignment.lease.deadline:
-                    assignment.lease.expire(now)
-                    assignment.stale = True
-                    timeline.append((
-                        now,
-                        f"lease of {assignment.arm.name}@"
-                        f"{assignment.endpoint.name} expired "
-                        f"(epoch {assignment.epoch})",
-                    ))
-                    live = [a for a in live if a is not assignment]
-                    stale.append(assignment)  # stream stays open: fence bait
-                    replacement = self._respawn(
-                        assignment, image, parent.space.size, tried,
-                        attempts, dead, outcomes, timeline, events,
-                        clock, block,
-                    )
-                    if replacement is not None:
-                        live.append(replacement)
-
-        now = clock()
-        if winner_msg is None:
-            # Nothing committed: cancel anything still running, settle
-            # every lease, then degrade (or fail) exactly like the
-            # simulated executor.
-            for assignment in live + stale:
-                self._dismiss(assignment, cancel=not assignment.finished)
-            self.warden.table.settle(at=now, winner_arm=None)
-            if not self.warden.table.all_settled:  # pragma: no cover
-                raise AssertionError("leases leaked past settle()")
-            reason = self._failure_reason(
-                live, stale, attempts, consensus_starved, now
+            for inc in race.live():
+                now = clock()
+                if now >= inc.lease.deadline:
+                    race.lapse(inc, now)  # stream stays open: fence bait
+                    if race.respawn(inc, now):
+                        ship(inc.index)
+        ended = clock()
+        for inc in race.incarnations:
+            self._dismiss(inc, cancel=not inc.finished)
+        if winner is None:
+            timed_out = ended >= self.race_timeout
+            return race.fail(
+                ended, parent, self.manager,
+                timed_out=self.race_timeout if timed_out else None,
             )
-            if self.warden.degrade_to_serial:
-                return self._degrade_serial(
-                    alternatives, parent, outcomes, timeline, now,
-                    reason, block,
-                )
-            error = AltBlockFailure(reason)
-            error.outcomes = outcomes
-            error.elapsed = now
-            error.timeline = sorted(timeline, key=lambda pair: pair[0])
-            raise error
-
-        # ---- winner commit: pages home, losers cancelled --------------
-        assert winner_assignment is not None
-        commit_started = now
-        self._apply_pages(parent, winner_msg.get("dirty_pages") or {})
-        index = winner_assignment.index
-        timeline.append((now, f"{alternatives[index].name} requests sync"))
-        timeline.append((clock(), "parent resumes (state shipped home)"))
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=block,
-                arm=index,
-                name=alternatives[index].name,
-                pages=int(winner_msg.get("pages_written") or 0),
-                sim_time=now,
-                epoch=winner_assignment.epoch,
-            )
-        outcome = outcomes[index]
-        outcome.status = "won"
-        outcome.value = winner_msg.get("value")
-        outcome.finished_at = now
-        outcome.duration = float(winner_msg.get("duration") or 0.0)
-        outcome.cpu_consumed = outcome.duration
-        outcome.pages_written = int(winner_msg.get("pages_written") or 0)
-        self._dismiss(winner_assignment, cancel=False)
-
-        wasted = 0.0
-        kill_at = clock()
-        for assignment in live + stale:
-            if assignment is winner_assignment:
-                continue
-            if not assignment.finished and not assignment.stale:
-                timeline.append(
-                    (kill_at,
-                     f"kill message to {assignment.endpoint.name}")
-                )
-                if outcomes[assignment.index].status == "untried":
-                    outcomes[assignment.index].status = "eliminated"
-                    outcomes[assignment.index].finished_at = kill_at
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=assignment.index,
-                        name=alternatives[assignment.index].name,
-                        reason="sibling-won",
-                    )
-            wasted += max(0.0, kill_at - assignment.started)
-            self._dismiss(assignment, cancel=not assignment.finished)
-        self.warden.table.settle(at=clock(), winner_arm=index)
-        if not self.warden.table.all_settled:  # pragma: no cover
-            raise AssertionError("leases leaked past settle()")
-
-        elapsed = clock()
-        overhead = OverheadBreakdown(
-            setup=winner_assignment.started,
-            runtime=float(winner_msg.get("duration") or 0.0),
-            selection=max(0.0, elapsed - commit_started),
-        )
-        return AltResult(
-            value=winner_msg.get("value"),
-            winner=outcome,
-            outcomes=outcomes,
-            elapsed=elapsed,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=sorted(timeline, key=lambda pair: pair[0]),
+        inc, msg, committed = winner
+        resumed = clock()
+        return race.win(
+            inc, parent, msg.get("value"), msg.get("dirty_pages") or {},
+            at=committed, resumed_at=resumed, kill_at=resumed,
+            overhead=OverheadBreakdown(
+                setup=inc.started, runtime=inc.duration,
+                selection=resumed - committed,
+            ),
             page_transport="socket",
+        )
+
+    def _ballot(self) -> Optional[Callable[[Incarnation], bool]]:
+        """The majority round the core calls at commit, on a fresh
+        decision id; ``None`` when the first finisher commits."""
+        if not self.use_consensus:
+            return None
+        self.decision_id = decision = f"block-{uuid.uuid4().hex}"
+        # The voting population is the live rotation.  With the
+        # membership table fully dark fall back to the static list; with
+        # no endpoints at all every commit is consensus-unavailable and
+        # the ladder (reroute -> respawn -> serial replay) takes over.
+        voters = [e.address for e in self._rotation()] or [
+            e.address for e in self.endpoints
+        ]
+        if not voters:
+            def starved(inc: Incarnation) -> bool:
+                raise ConsensusUnavailable("no voting endpoints")
+            return starved
+        semaphore = ClusterMajoritySemaphore(
+            voters, requester=self.home, secret=self._key
+        )
+        return lambda inc: semaphore.try_acquire(
+            decision, f"arm-{inc.index}-epoch-{inc.epoch}"
         )
 
     # ------------------------------------------------------------------
     # shipping
 
-    def _ship(
-        self, index, arm, image, space_size, tried, attempts, dead,
-        outcomes, timeline, events, clock, block,
-    ) -> Optional[_Assignment]:
-        """Ship one incarnation of ``arm``; None when no endpoint works."""
-        tracer = _active_tracer()
+    def _ship(self, race, index, image, space_size, events, clock) -> None:
+        """Ship one incarnation of arm ``index`` to the next endpoint the
+        core places it on; the arm is stranded when none works."""
+        arm = race.arms[index]
         while True:
-            endpoint = self._pick_endpoint(index, tried[index], dead)
+            rotation = self._rotation()
+            # Breakers first; with every candidate's breaker open, probe
+            # one anyway rather than fall straight to the serial floor.
+            endpoint = race.place(
+                index, rotation, lambda e: self._breaker(e).allow()
+            ) or race.place(index, rotation, lambda e: True)
             if endpoint is None:
-                outcomes[index].status = "failed"
-                outcomes[index].detail = "no reachable worker node"
-                timeline.append(
-                    (clock(), f"{arm.name}: no reachable worker node")
-                )
-                return None
+                race.stranded(index, clock(), rotation)
+                return
+            epoch = race.next_epoch(index)
             try:
                 stream = connect(
                     endpoint.host, endpoint.port,
@@ -520,41 +328,26 @@ class ClusterExecutor:
                 stream = dial_handshake(
                     stream, self._key, timeout=self.connect_timeout
                 )
+                started = clock()
+                if not stream.send({
+                    "kind": "ship",
+                    "alt": arm,
+                    "arm": index,
+                    "epoch": epoch,
+                    "seed": race.seed,
+                    "name": arm.name,
+                    "image": image,
+                    "space_size": space_size,
+                    "hb_interval": self.warden.lease_interval,
+                    "crash_after": race.crash_after(index),
+                }):
+                    stream.close()
+                    raise StreamClosed("ship-send-failed")
             except (OSError, StreamClosed, AuthError) as exc:
-                tried[index].append(str(endpoint))
-                dead.add(str(endpoint))
+                race.ship_failed(index, endpoint, clock(), exc, dead=True)
                 self._note_endpoint_failure(endpoint, f"dial: {exc}")
-                timeline.append(
-                    (clock(),
-                     f"{arm.name}: ship to {endpoint.name} failed ({exc})")
-                )
                 continue
-            started = clock()
-            lease = self.warden.table.grant(
-                endpoint.name, index, at=started,
-                interval=self.warden.lease_interval,
-                timeout=self.warden.lease_timeout,
-            )
-            shipped = stream.send({
-                "kind": "ship",
-                "alt": arm,
-                "arm": index,
-                "epoch": lease.epoch,
-                "seed": self.seed,
-                "name": arm.name,
-                "image": image,
-                "space_size": space_size,
-                "hb_interval": self.warden.lease_interval,
-                "crash_after": self._crash_after(index),
-            })
-            if not shipped:
-                lease.expire(clock())
-                stream.close()
-                tried[index].append(str(endpoint))
-                dead.add(str(endpoint))
-                self._note_endpoint_failure(endpoint, "ship-send-failed")
-                continue
-            self._note_endpoint_success(endpoint)
+            self._breaker(endpoint).record_success()
             # Half-open sends later in the conversation (heartbeats from
             # our side, cancels) feed the same health plumbing.
             underlying = getattr(stream, "stream", stream)
@@ -562,311 +355,51 @@ class ClusterExecutor:
                 lambda _s, detail, ep=endpoint:
                     self._note_endpoint_failure(ep, detail)
             )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.CONN_OPEN,
-                    block=block,
-                    arm=index,
-                    name=endpoint.name,
-                    peer=f"{endpoint.host}:{endpoint.port}",
-                    epoch=lease.epoch,
-                )
-            timeline.append(
-                (started, f"ship {arm.name} onto {endpoint.name} "
-                          f"(epoch {lease.epoch})")
-            )
-            outcomes[index].started_at = started
-            assignment = _Assignment(
-                index=index,
-                arm=arm,
-                endpoint=endpoint,
-                epoch=lease.epoch,
-                lease=lease,
-                stream=stream,
-                started=started,
+            inc = race.launch(index, endpoint, started, "ship")
+            race.emit(
+                _ev.CONN_OPEN, arm=index, name=endpoint.name,
+                peer=f"{endpoint.host}:{endpoint.port}", epoch=inc.epoch,
             )
             receiver = threading.Thread(
                 target=self._receive,
-                args=(assignment, events),
-                name=f"recv-{arm.name}-e{lease.epoch}",
+                args=(inc, stream, events),
+                name=f"recv-{arm.name}-e{inc.epoch}",
                 daemon=True,
             )
             receiver.start()
-            assignment.thread = receiver
-            return assignment
-
-    def _respawn(
-        self, lapsed: _Assignment, image, space_size, tried, attempts,
-        dead, outcomes, timeline, events, clock, block,
-    ) -> Optional[_Assignment]:
-        """A fresh incarnation on the next endpoint, if respawns remain."""
-        index = lapsed.index
-        tried[index].append(str(lapsed.endpoint))
-        attempts[index] += 1
-        if not self.warden.respawns_left(attempts[index]):
-            outcomes[index].status = "failed"
-            outcomes[index].detail = (
-                f"lease expired (epoch {lapsed.epoch}); respawns exhausted"
-            )
-            return None
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WORKER_RESPAWN,
-                block=block,
-                arm=index,
-                name=lapsed.arm.name,
-                dead_worker=lapsed.endpoint.name,
-                dead_epoch=lapsed.epoch,
-                epoch=lapsed.epoch + 1,
-                at=clock(),
-            )
-        return self._ship(
-            index, lapsed.arm, image, space_size, tried, attempts,
-            dead, outcomes, timeline, events, clock, block,
-        )
-
-    def _pick_endpoint(
-        self, index: int, tried: List[str], dead: Set[str]
-    ) -> Optional[WorkerEndpoint]:
-        """Round-robin home over the live rotation, breakers respected.
-
-        ``tried``/``dead`` are keyed by the *full* ``name@host:port``
-        string, not the bare name -- a daemon that died and re-joined on
-        a fresh port is a different endpoint and stays dialable in the
-        same race that buried its predecessor.
-        """
-        everyone = self._rotation()
-        if not everyone:
-            return None
-        start = index % len(everyone)
-        rotation = everyone[start:] + everyone[:start]
-        candidates = [
-            e for e in rotation
-            if str(e) not in tried and str(e) not in dead
-        ]
-        for endpoint in candidates:
-            if self._breaker(endpoint).allow():
-                return endpoint
-        # Every candidate's breaker is open.  The degradation ladder is
-        # reroute -> respawn elsewhere -> serial replay; with untried
-        # endpoints still on the table we probe one anyway rather than
-        # fall straight through to the serial floor.
-        return candidates[0] if candidates else None
-
-    def _crash_after(self, index: int) -> Optional[float]:
-        """The injected ``worker-crash`` instant for this arm, if any."""
-        injector = _active_injector()
-        if injector is None:
-            return None
-        rule = injector.draw("worker-crash", index)
-        if rule is None:
-            return None
-        return rule.duration
+            inc.handle = (stream, receiver)
+            return
 
     # ------------------------------------------------------------------
     # the receiver side
 
-    def _receive(self, assignment: _Assignment, events) -> None:
-        """Pump one assignment's stream into the main event queue."""
+    @staticmethod
+    def _receive(inc: Incarnation, stream, events) -> None:
+        """Pump one connection's records into the home event queue."""
         while True:
             try:
-                msg = assignment.stream.recv(timeout=0.25)
+                msg = stream.recv(timeout=0.25)
             except StreamClosed as exc:
-                events.put(("drop", assignment, exc))
+                events.put(("drop", inc, exc))
                 return
             if msg is None:
-                if assignment.stream.closed:
+                if stream.closed:
                     return
                 continue
             kind = msg.get("kind")
-            if kind == "hb":
-                events.put(("hb", assignment, msg))
-            elif kind == "result":
-                events.put(("result", assignment, msg))
-                return
-
-    def _on_heartbeat(self, assignment, msg, now) -> None:
-        # A duplicated or reordered heartbeat is harmless: renew() keeps
-        # the latest instant, and a stale incarnation's beats fall on an
-        # already-terminal lease, which we must not resurrect.
-        # Any heartbeat -- even a zombie epoch's -- proves the *endpoint*
-        # is alive, so the breaker and membership hear about it.
-        self._breaker(assignment.endpoint).record_success()
-        if self.membership is not None:
-            self.membership.observe_ping(assignment.endpoint.name)
-        if assignment.lease.terminal:
-            return
-        if msg.get("epoch") == assignment.epoch:
-            assignment.lease.renew(now)
-
-    def _on_drop(self, assignment, exc, timeline, now, block) -> None:
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                _ev.CONN_DROP,
-                block=block,
-                arm=assignment.index,
-                name=assignment.endpoint.name,
-                epoch=assignment.epoch,
-                torn=bool(getattr(exc, "torn", False)),
-                detail=str(exc),
-            )
-        if not assignment.finished and not assignment.stale:
-            timeline.append(
-                (now,
-                 f"connection to {assignment.endpoint.name} dropped "
-                 f"({'torn' if getattr(exc, 'torn', False) else 'closed'})")
-            )
-
-    # ------------------------------------------------------------------
-    # commit path
-
-    def _commit_check(
-        self, assignment: _Assignment, msg: dict
-    ) -> Tuple[bool, str]:
-        """The epoch fence plus the arm's own verdict."""
-        if not msg.get("ok"):
-            return False, "arm-failed"
-        if assignment.lease.terminal:
-            return False, "lease-expired"
-        if msg.get("epoch") != assignment.epoch:
-            return False, "stale-epoch-fence"
-        if assignment.epoch != self.warden.table.current_epoch(
-                assignment.index):
-            # A newer incarnation superseded this one mid-flight.
-            return False, "stale-epoch-fence"
-        return True, ""
-
-    def _consensus_round(
-        self, semaphore, decision, assignment, timeline, clock
-    ) -> Tuple[bool, str]:
-        requester = f"arm-{assignment.index}-epoch-{assignment.epoch}"
-        try:
-            granted = semaphore.try_acquire(decision, requester)
-        except ConsensusUnavailable as exc:
-            timeline.append((clock(), f"consensus unavailable: {exc}"))
-            return False, "consensus-unavailable"
-        if not granted:
-            return False, "consensus-denied"
-        timeline.append(
-            (clock(),
-             f"majority grant to {requester} "
-             f"({semaphore.quorum} of {len(semaphore.endpoints)})")
-        )
-        return True, ""
-
-    def _reject(
-        self, assignment, msg, reason, outcomes, timeline, now, block
-    ) -> None:
-        tracer = _active_tracer()
-        name = assignment.arm.name
-        if reason in ("stale-epoch-fence", "lease-expired"):
-            timeline.append(
-                (now,
-                 f"zombie {name}@{assignment.endpoint.name} fenced at "
-                 f"winner-commit (epoch {assignment.epoch})")
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.LOSER_ELIMINATE,
-                    block=block,
-                    arm=assignment.index,
-                    name=name,
-                    reason="stale-epoch-fence",
-                    epoch=assignment.epoch,
-                )
-        elif reason == "arm-failed":
-            outcomes[assignment.index].status = "failed"
-            outcomes[assignment.index].detail = msg.get("detail") or ""
-            outcomes[assignment.index].finished_at = now
-            outcomes[assignment.index].cpu_consumed = float(
-                msg.get("duration") or 0.0
-            )
-            timeline.append(
-                (now, f"{name}@{assignment.endpoint.name} aborts: "
-                      f"{msg.get('detail')}")
-            )
-        elif reason in ("consensus-denied", "consensus-unavailable"):
-            timeline.append(
-                (now, f"{name} reached sync but was not granted ({reason})")
-            )
-
-    def _dismiss(self, assignment: _Assignment, cancel: bool) -> None:
-        """End one conversation: optional cancel record, then close."""
-        if cancel:
-            assignment.stream.send({"kind": "cancel"})
-        assignment.stream.close()
-        if assignment.thread is not None:
-            assignment.thread.join(timeout=1.0)
+            if kind in ("hb", "result"):
+                events.put((kind, inc, msg))
+                if kind == "result":
+                    return
 
     @staticmethod
-    def _apply_pages(parent: SimProcess, dirty: Dict[int, bytes]) -> None:
-        """'The changed state is updated in the parent's storage.'"""
-        page_size = parent.space.page_size
-        for vpn in sorted(dirty):
-            data = dirty[vpn]
-            offset = vpn * page_size
-            length = min(len(data), parent.space.size - offset)
-            if length > 0:
-                parent.space.write(offset, bytes(data[:length]))
-
-    # ------------------------------------------------------------------
-    # failure / degradation
-
-    def _failure_reason(
-        self, live, stale, attempts, consensus_starved, now
-    ) -> str:
-        if consensus_starved:
-            return "consensus quorum unreachable"
-        if now >= self.race_timeout:
-            return f"race timed out after {self.race_timeout:.1f}s"
-        if not live and not stale:
-            return "no worker node was reachable"
-        return "all remote alternatives failed"
-
-    def _degrade_serial(
-        self, alternatives, parent, outcomes, timeline, clock_now,
-        reason, block,
-    ) -> AltResult:
-        """Serial replay at home, faults suppressed -- the last resort."""
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(_ev.DEGRADE, block=block, reason=reason)
-        timeline.append(
-            (clock_now, f"degrading to serial replay at home ({reason})")
-        )
-        executor = SequentialExecutor(
-            policy=OrderedPolicy(),
-            try_all=True,
-            seed=self.seed,
-            manager=self.manager,
-        )
-        try:
-            with suppressed():
-                replay = executor.run(alternatives, parent=parent)
-        except AltBlockFailure as exc:
-            exc.timeline = sorted(
-                timeline
-                + [(clock_now + t, f"[replay] {label}")
-                   for t, label in getattr(exc, "timeline", [])],
-                key=lambda pair: pair[0],
-            )
-            exc.elapsed = clock_now + (getattr(exc, "elapsed", 0.0) or 0.0)
-            raise
-        merged = timeline + [
-            (clock_now + t, f"[replay] {label}")
-            for t, label in replay.timeline
-        ]
-        return AltResult(
-            value=replay.value,
-            winner=replay.winner,
-            outcomes=replay.outcomes,
-            elapsed=clock_now + replay.elapsed,
-            overhead=replay.overhead,
-            wasted_work=replay.wasted_work,
-            timeline=sorted(merged, key=lambda pair: pair[0]),
-        )
+    def _dismiss(inc: Incarnation, cancel: bool) -> None:
+        """End one conversation: optional cancel record, then close."""
+        stream, receiver = inc.handle
+        if cancel:
+            stream.send({"kind": "cancel"})
+        stream.close()
+        receiver.join(timeout=1.0)
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,9 @@
 :class:`~repro.consensus.majority.MajorityConsensusSemaphore` with the
 in-memory ``node.request_vote`` call replaced by a framed ``vote``
 round-trip to each worker daemon's voter (section 5.1.2 / Thomas 1979,
-on the real wire).  The safety argument is unchanged and lives entirely
+on the real wire).  Both semaphores judge a round by the one quorum rule,
+:func:`~repro.consensus.majority.tally`; what differs is only how the
+ballots are collected.  The safety argument is unchanged and lives entirely
 on the *daemons*: each voter grants a decision at most once and never
 revokes, so two requesters can never both collect strict majorities --
 no matter what the network between them does.
@@ -29,7 +31,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.auth import AuthError, dial_handshake, load_secret
 from repro.cluster.stream import StreamClosed, connect
-from repro.errors import ConsensusUnavailable
+from repro.consensus.majority import quorum, tally
 
 
 class ClusterMajoritySemaphore:
@@ -54,7 +56,7 @@ class ClusterMajoritySemaphore:
     @property
     def quorum(self) -> int:
         """Strict majority of all configured voters (up or down)."""
-        return len(self.endpoints) // 2 + 1
+        return quorum(len(self.endpoints))
 
     def _ask(self, endpoint: Tuple[str, int], decision_id: Hashable,
              requester: Hashable, box: dict) -> None:
@@ -116,17 +118,8 @@ class ClusterMajoritySemaphore:
             thread.start()
         for thread in askers:
             thread.join(timeout=self.vote_timeout * 2)
-        reachable = len(box)
-        grants = sum(1 for granted in box.values() if granted)
-        self.unreachable_last_round = len(self.endpoints) - reachable
-        if grants >= self.quorum:
-            return True
-        if reachable < self.quorum:
-            raise ConsensusUnavailable(
-                f"only {reachable} of {len(self.endpoints)} voters "
-                f"reachable; quorum is {self.quorum}"
-            )
-        return False
+        self.unreachable_last_round = len(self.endpoints) - len(box)
+        return tally(len(self.endpoints), sum(box.values()), len(box))
 
     def __repr__(self) -> str:
         return (

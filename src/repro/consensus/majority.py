@@ -21,6 +21,28 @@ from repro.consensus.node import ConsensusNode
 from repro.sim.costs import CostModel
 
 
+def quorum(voters: int) -> int:
+    """Strict majority of ``voters``, counting the ones that are down."""
+    return voters // 2 + 1
+
+
+def tally(voters: int, grants: int, answered: int) -> bool:
+    """The majority rule over one round of ``voters`` polled.
+
+    True when ``grants`` reach a quorum; raises
+    :class:`ConsensusUnavailable` when fewer than a quorum ``answered`` at
+    all, since then no decision is possible; False (denied) otherwise.
+    """
+    if grants >= quorum(voters):
+        return True
+    if answered < quorum(voters):
+        raise ConsensusUnavailable(
+            f"only {answered} of {voters} voters reachable; "
+            f"quorum is {quorum(voters)}"
+        )
+    return False
+
+
 class MajorityConsensusSemaphore:
     """A replicated at-most-once synchronization point."""
 
@@ -35,7 +57,7 @@ class MajorityConsensusSemaphore:
     @property
     def quorum(self) -> int:
         """Strict majority of all nodes (up or down)."""
-        return len(self.nodes) // 2 + 1
+        return quorum(len(self.nodes))
 
     def try_acquire(self, decision_id: Hashable, requester: Hashable) -> bool:
         """Attempt to synchronize; True iff a majority granted.
@@ -60,13 +82,8 @@ class MajorityConsensusSemaphore:
             if granted:
                 grants += 1
             if grants >= self.quorum:
-                return True
-        if reachable < self.quorum:
-            raise ConsensusUnavailable(
-                f"only {reachable} of {len(self.nodes)} nodes reachable; "
-                f"quorum is {self.quorum}"
-            )
-        return False
+                break
+        return tally(len(self.nodes), grants, reachable)
 
     def winner(self, decision_id: Hashable) -> Optional[Hashable]:
         """The requester holding a majority for ``decision_id``, if any.

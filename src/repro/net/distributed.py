@@ -11,74 +11,60 @@ Section 4.1 prices the distributed case explicitly:
 - *Sibling elimination* becomes termination messages with network
   latency, naturally asynchronous.
 
-Each alternative runs on its own node (real concurrency), and the
-synchronization can be a single home-node semaphore or a majority
-consensus across the workers.
+The race itself -- placement, leases and epochs, the commit fence, loser
+elimination, degradation -- is :class:`~repro.net.race.Race`, the one
+sans-IO protocol core shared with the real-wire
+:class:`~repro.cluster.executor.ClusterExecutor`.
+:class:`DistributedAltExecutor` is its *simulated* driver: it forks each
+arm onto a node with :func:`~repro.net.rfork.remote_fork`, runs the body
+inline, heartbeats the lease over :meth:`Network.transmit` (so injected
+loss, duplication and partitions apply), delivers the results to the core
+in completion order on the virtual clock, and ships the winner's state
+home.  Synchronization is first-finisher-commits at home or a
+:class:`~repro.consensus.majority.MajorityConsensusSemaphore` round.
 
 With a :class:`~repro.net.lease.RaceWarden` attached the race is
-*chaos-hardened*: every remote child holds a lease renewed by heartbeats
-over the (possibly faulty) network, a worker whose lease lapses is
-re-spawned on a healthy node under a fresh incarnation epoch, zombies
-are fenced at winner-commit, a mid-race partition is converted into
-loser-elimination instead of escaping as a raw
-:class:`~repro.errors.NetworkError`, and when remote execution cannot
-complete at all the block degrades to a serial replay on the home node
-(the simulated-substrate analogue of PR 2's ``SerialBackend``
-degradation).
-
-Every random decision is drawn from a *keyed* RNG --
-``Random(f"{seed}:{purpose}:{arm}")``, the same convention as the
-:class:`~repro.resilience.FaultInjector` -- so distributed runs replay
-bit-identically under a seed regardless of arm order or respawn count.
+*chaos-hardened*: a worker whose lease lapses is re-spawned on a healthy
+node under a fresh incarnation epoch, zombies are fenced at
+winner-commit, a mid-race partition becomes loser-elimination instead of
+a raw :class:`~repro.errors.NetworkError`, and a block that cannot
+complete remotely degrades to a serial replay on the home node.  Every
+random decision comes from the core's keyed RNG, so a seeded run replays
+bit-identically.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.consensus.majority import MajorityConsensusSemaphore
 from repro.consensus.node import ConsensusNode
 from repro.core.alternative import AltContext, Alternative
-from repro.core.result import AltOutcome, AltResult, OverheadBreakdown
-from repro.core.selection import OrderedPolicy
-from repro.core.sequential import SequentialExecutor, _run_body
-from repro.errors import AltBlockFailure, NetworkError
-from repro.net.lease import Lease, RaceWarden
+from repro.core.result import AltResult, OverheadBreakdown
+from repro.core.sequential import _run_body
+from repro.errors import NetworkError
+from repro.net.lease import RaceWarden
 from repro.net.network import Network
-from repro.net.rfork import remote_fork
-from repro.obs import events as _ev
-from repro.obs.tracer import active as _active_tracer
+from repro.net.race import Incarnation, Race, bracket
+from repro.net.rfork import RemoteForkResult, remote_fork
 from repro.process.process import SimProcess
-from repro.resilience.injector import active as _active_injector, suppressed
 from repro.sim.costs import CostModel
 
 #: Size of one heartbeat message on the wire (control traffic).
 HEARTBEAT_BYTES = 64
 
 
-@dataclass
-class _RemoteRun:
-    index: int
-    node: str
+class _Body(NamedTuple):
+    """What one incarnation's inline body run produced."""
+
     process: SimProcess
-    succeeded: bool
+    ok: bool
     value: object
     detail: str
-    duration: float
-    pages_written: int
-    arrival: float
-    epoch: int = 0
-    lease: Optional[Lease] = None
-    zombie: bool = False
-    """True for an incarnation the warden already declared dead whose
-    body nonetheless ran to completion on the worker: it reaches the
-    selection point only to be fenced."""
 
-    @property
-    def completion(self) -> float:
-        return self.arrival + self.duration
+
+def _completion(inc: Incarnation) -> float:
+    return inc.started + inc.duration
 
 
 class DistributedAltExecutor:
@@ -129,11 +115,11 @@ class DistributedAltExecutor:
         :class:`~repro.cluster.executor.WorkerEndpoint` (or
         ``(name, host, port)`` tuples) naming live
         :class:`~repro.cluster.daemon.WorkerDaemon` processes.  The
-        returned :class:`~repro.cluster.executor.ClusterExecutor` keeps
-        this class's contract -- shipped parent images, dirty-page
-        commit, leases with epoch fencing, degrade-to-serial -- with the
-        simulated wire swapped for sockets and the simulated clock for a
-        wall clock.
+        returned :class:`~repro.cluster.executor.ClusterExecutor` drives
+        the same :class:`~repro.net.race.Race` core -- shipped parent
+        images, dirty-page commit, leases with epoch fencing,
+        degrade-to-serial -- with the simulated wire swapped for sockets
+        and the simulated clock for a wall clock.
         """
         from repro.cluster.executor import ClusterExecutor, WorkerEndpoint
 
@@ -148,18 +134,6 @@ class DistributedAltExecutor:
         )
 
     # ------------------------------------------------------------------
-    # keyed randomness (the FaultInjector convention)
-
-    def _rng_for(self, purpose: str, index: int) -> random.Random:
-        """A per-``(seed, purpose, arm)`` RNG.
-
-        Keyed derivation means the draw an arm sees never depends on how
-        many draws other arms (or earlier incarnations) consumed -- the
-        property that makes a chaos run replay bit-identically.
-        """
-        return random.Random(f"{self.seed}:{purpose}:{index}")
-
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -171,277 +145,122 @@ class DistributedAltExecutor:
         Alternatives beyond the worker count round-robin onto nodes; each
         still gets its own shipped copy of the parent image.
         """
-        if not alternatives:
-            raise ValueError("an alternative block needs at least one arm")
-        parent = parent if parent is not None else self.new_parent()
-        tracer = _active_tracer()
-        block = tracer.next_block() if tracer.enabled else None
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_BEGIN,
-                block=block,
-                name=f"alt-block#{block} [distributed]",
-                backend="distributed",
-                arms=len(alternatives),
-                supervised=self.warden is not None,
-            )
-        try:
-            result = self._run_inner(alternatives, parent, block)
-        except AltBlockFailure as exc:
-            if tracer.enabled:
-                tracer.emit(
-                    _ev.BLOCK_END,
-                    block=block,
-                    outcome=type(exc).__name__,
-                    elapsed_seconds=float(getattr(exc, "elapsed", 0.0) or 0.0),
-                )
-            raise
-        if tracer.enabled:
-            tracer.emit(
-                _ev.BLOCK_END,
-                block=block,
-                outcome="won",
-                winner=result.winner.name,
-                elapsed_seconds=result.elapsed,
-            )
-        return result
-
-    def _run_inner(
-        self,
-        alternatives: Sequence[Alternative],
-        parent: SimProcess,
-        block: Optional[int],
-    ) -> AltResult:
-        timeline: List[Tuple[float, str]] = [(0.0, "block entered")]
-        outcomes = [
-            AltOutcome(index=i, name=a.name, status="untried")
-            for i, a in enumerate(alternatives)
-        ]
-        runs, clock = self._ship_and_execute(
-            alternatives, parent, outcomes, timeline, block
+        return bracket(
+            "distributed", alternatives, self.warden is not None,
+            lambda block: self._race(
+                Race(alternatives, self.warden, self.seed, block), parent
+            ),
         )
-        result = None
-        if runs:
-            result = self._select(parent, runs, outcomes, timeline, block)
+
+    def _race(self, race: Race, parent: Optional[SimProcess]) -> AltResult:
+        parent = parent if parent is not None else self.new_parent()
+        runs, clock = self._ship_all(race, parent)
+        result = self._deliver(race, parent, runs)
         if result is not None:
             return result
-        # Nothing committed remotely: degrade to a home-node serial
-        # replay when a warden allows it, otherwise fail the block.
-        reason = (
-            "no worker node was reachable"
-            if not runs
-            else f"all {len([r for r in runs if not r.zombie])} remote "
-            "alternatives failed"
-        )
-        if self.warden is not None and self.warden.degrade_to_serial:
-            return self._degrade_serial(
-                alternatives, parent, outcomes, timeline, clock, reason, block
-            )
-        latest = max((run.completion for run in runs), default=clock)
-        for run in runs:
-            if not run.zombie:
-                outcomes[run.index].cpu_consumed = run.duration
-        if self.warden is not None:
-            # Failure settles too: no lease may outlive its race.
-            self.warden.table.settle(at=latest, winner_arm=None)
-        error = AltBlockFailure(reason)
-        error.outcomes = outcomes
-        error.elapsed = latest
-        error.timeline = timeline
-        raise error
+        latest = max((_completion(inc) for inc in runs), default=clock)
+        return race.fail(latest, parent, self.network.node(self.home).manager)
 
     # ------------------------------------------------------------------
     # shipping + remote execution (with optional lease supervision)
 
-    def _ship_and_execute(self, alternatives, parent, outcomes, timeline, block):
-        model = self.cost_model
-        warden = self.warden
-        image_bytes = None
+    def _ship_all(
+        self, race: Race, parent: SimProcess
+    ) -> Tuple[List[Incarnation], float]:
+        """Fork every arm onto a node; the incarnations whose results
+        reach the selection point, and the home clock after shipping."""
         clock = 0.0
-        runs: List[_RemoteRun] = []
-        dead_nodes: Set[str] = set()
-        for index, arm in enumerate(alternatives):
-            preferred = self.workers[index % len(self.workers)]
-            tried: List[str] = []
-            attempt = 0
+        checkpointed = False
+        runs: List[Incarnation] = []
+        for index in range(len(race.arms)):
             while True:
-                if warden is None:
-                    # Unsupervised: the arm lives and dies with its
-                    # round-robin node (the PR-0 semantics).
-                    node_name = (
-                        preferred
-                        if preferred not in tried
-                        and self.network.reachable(self.home, preferred)
-                        else None
-                    )
-                else:
-                    node_name = self._pick_node(
-                        preferred, tried, dead_nodes, clock
-                    )
-                if node_name is None:
-                    outcomes[index].status = "failed"
-                    outcomes[index].detail = (
-                        f"node {preferred} unreachable"
-                        if not tried
-                        else "no reachable worker node"
-                    )
-                    timeline.append(
-                        (clock,
-                         f"{arm.name}: {preferred} unreachable"
-                         if not tried
-                         else f"{arm.name}: no reachable worker node")
-                    )
+                node = race.place(
+                    index, self.workers,
+                    lambda name: self.network.reachable(
+                        self.home, name, at=clock
+                    ),
+                )
+                if node is None:
+                    race.stranded(index, clock, self.workers)
                     break
                 try:
                     forked = remote_fork(
-                        self.network, self.home, node_name, parent,
-                        cost_model=model,
+                        self.network, self.home, node, parent,
+                        cost_model=self.cost_model,
                     )
                 except NetworkError as exc:
                     # A partition opened mid-race: contain it here instead
                     # of letting it unwind the whole block.
-                    tried.append(node_name)
-                    timeline.append(
-                        (clock, f"{arm.name}: ship to {node_name} failed ({exc})")
-                    )
-                    if warden is None:
-                        outcomes[index].status = "failed"
-                        outcomes[index].detail = f"node {node_name} unreachable"
-                        break
+                    race.ship_failed(index, node, clock, exc)
                     continue
-                if image_bytes is None:
-                    image_bytes = forked.image_bytes
+                if not checkpointed:
                     clock += forked.checkpoint_time  # checkpoint happens once
+                    checkpointed = True
                 # Transfers leave the home node serially; restores overlap.
                 clock += forked.transfer_time
-                arrival = clock + forked.restore_time
-                child = forked.process
-                context = AltContext(
-                    child.space,
-                    rng=self._rng_for("ctx", index),
-                    alt_index=index + 1,
-                    name=arm.name,
-                    process=child,
-                )
-                succeeded, value, detail = _run_body(arm, context)
-                duration = (
-                    arm.sample_cost(self._rng_for("cost", index), context)
-                    + arm.guard_cost
-                )
-                pages = child.space.pages_written
-                duration += model.page_copy_time(pages)
-                outcomes[index].pid = child.pid
-                outcomes[index].duration = duration
-                outcomes[index].pages_written = pages
-                outcomes[index].started_at = arrival
-                timeline.append((arrival, f"rfork {arm.name} onto {node_name}"))
-                run = _RemoteRun(
-                    index=index,
-                    node=node_name,
-                    process=child,
-                    succeeded=succeeded,
-                    value=value,
-                    detail=detail,
-                    duration=duration,
-                    pages_written=pages,
-                    arrival=arrival,
-                )
-                if warden is None:
-                    runs.append(run)
+                inc = self._execute(race, index, node, forked, clock)
+                if inc.lease is None:
+                    runs.append(inc)
                     break
-
-                # -- supervised: the incarnation runs under a lease -----
-                lease = warden.table.grant(
-                    node_name, index, at=arrival,
-                    interval=warden.lease_interval,
-                    timeout=warden.lease_timeout,
+                crash = race.crash_after(index)
+                crash_at = (
+                    None if crash is None
+                    else inc.started + min(crash, inc.duration)
                 )
-                run.lease = lease
-                run.epoch = lease.epoch
-                crash_at = self._crash_instant(index, arrival, duration)
-                alive_until = crash_at if crash_at is not None else run.completion
                 lapse = self._simulate_lease(
-                    lease, node_name, alive_until,
+                    race, inc, crash_at if crash_at is not None
+                    else _completion(inc),
                     beats_stop=crash_at is not None,
                 )
                 if lapse is None:
-                    runs.append(run)  # lease held through completion
+                    runs.append(inc)  # lease held through completion
                     break
-                # The warden declares this incarnation dead at ``lapse``;
-                # the worker-side lease lapses on the same deadline, so an
+                # The worker-side lease lapses on the same deadline, so an
                 # orphan self-terminates instead of lingering.
-                lease.expire(lapse)
                 clock = max(clock, lapse)
-                timeline.append(
-                    (lapse, f"lease of {arm.name}@{node_name} expired "
-                            f"(epoch {lease.epoch})")
-                )
+                race.lapse(inc, lapse, dead=crash_at is not None)
                 if crash_at is not None:
-                    dead_nodes.add(node_name)
-                    run.succeeded = False
-                    run.detail = "worker crashed mid-arm"
-                elif run.succeeded:
-                    # Zombie: the body finished remotely after home gave up
-                    # on it.  It may still race to the selection point, but
-                    # the epoch fence bars it from committing.
-                    run.zombie = True
-                    runs.append(run)
-                tried.append(node_name)
-                attempt += 1
-                if not warden.respawns_left(attempt):
-                    outcomes[index].status = "failed"
-                    outcomes[index].detail = (
-                        f"lease expired (epoch {lease.epoch}); "
-                        "respawns exhausted"
-                    )
+                    inc.duration = crash_at - inc.started
+                elif inc.handle.ok:
+                    # Zombie: the body finished after home gave up on it.
+                    # It still reaches the selection point -- to be fenced.
+                    runs.append(inc)
+                if not race.respawn(inc, lapse):
                     break
-                tracer = _active_tracer()
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.WORKER_RESPAWN,
-                        block=block,
-                        arm=index,
-                        name=arm.name,
-                        dead_worker=node_name,
-                        epoch=lease.epoch,
-                        at=lapse,
-                    )
         return runs, clock
 
-    def _pick_node(
-        self,
-        preferred: str,
-        tried: List[str],
-        dead_nodes: Set[str],
-        clock: float,
-    ) -> Optional[str]:
-        """The preferred node, else the next healthy reachable worker."""
-        start = self.workers.index(preferred)
-        rotation = self.workers[start:] + self.workers[:start]
-        for name in rotation:
-            if name in tried or name in dead_nodes:
-                continue
-            if self.network.reachable(self.home, name, at=clock):
-                return name
-        return None
-
-    def _crash_instant(
-        self, index: int, arrival: float, duration: float
-    ) -> Optional[float]:
-        """When the ``worker-crash`` fault kills this arm's node."""
-        injector = _active_injector()
-        if injector is None:
-            return None
-        rule = injector.draw("worker-crash", index)
-        if rule is None:
-            return None
-        return arrival + min(rule.duration, duration)
+    def _execute(
+        self, race: Race, index: int, node: str,
+        forked: RemoteForkResult, clock: float,
+    ) -> Incarnation:
+        """Run the arm's body in its restored child; launch the
+        incarnation at the instant the child arrived."""
+        arm = race.arms[index]
+        child = forked.process
+        context = AltContext(
+            child.space,
+            rng=race.rng("ctx", index),
+            alt_index=index + 1,
+            name=arm.name,
+            process=child,
+        )
+        ok, value, detail = _run_body(arm, context)
+        duration = (
+            arm.sample_cost(race.rng("cost", index), context) + arm.guard_cost
+        )
+        pages = child.space.pages_written
+        duration += self.cost_model.page_copy_time(pages)
+        outcome = race.outcomes[index]
+        outcome.pid, outcome.duration = child.pid, duration
+        outcome.pages_written = pages
+        return race.launch(
+            index, node, clock + forked.restore_time, "rfork",
+            duration=duration, pages=pages,
+            handle=_Body(child, ok, value, detail),
+        )
 
     def _simulate_lease(
-        self,
-        lease: Lease,
-        node: str,
-        alive_until: float,
+        self, race: Race, inc: Incarnation, alive_until: float,
         beats_stop: bool,
     ) -> Optional[float]:
         """Heartbeat the lease over the faulty wire until ``alive_until``.
@@ -453,10 +272,11 @@ class DistributedAltExecutor:
         next).  ``beats_stop`` marks a crashed worker whose silence is
         permanent.
         """
+        lease = inc.lease
         t = lease.granted_at + lease.interval
         while t <= alive_until + 1e-12:
             deliveries = self.network.transmit(
-                node,
+                inc.worker,
                 self.home,
                 ("hb", lease.arm, lease.epoch),
                 nbytes=HEARTBEAT_BYTES,
@@ -465,7 +285,7 @@ class DistributedAltExecutor:
             for delivery in sorted(deliveries, key=lambda d: d.arrive_at):
                 if delivery.arrive_at > lease.deadline:
                     return lease.deadline  # lapsed before this beat landed
-                lease.renew(delivery.arrive_at)
+                race.renew(inc, delivery.arrive_at)
             t += lease.interval
         if beats_stop:
             return lease.deadline  # silence is forever: certain lapse
@@ -474,243 +294,66 @@ class DistributedAltExecutor:
         return None
 
     # ------------------------------------------------------------------
-    # selection / commit (epoch-fenced)
+    # selection / commit
 
-    def _select(
-        self, parent, runs, outcomes, timeline, block
+    def _deliver(
+        self, race: Race, parent: SimProcess, runs: List[Incarnation]
     ) -> Optional[AltResult]:
-        """Pick and commit a winner; ``None`` when nothing could commit."""
+        """Hand results to the core in completion order until one
+        commits; ``None`` when nothing could."""
         model = self.cost_model
-        tracer = _active_tracer()
-        ordered = sorted(runs, key=lambda run: run.completion)
-        semaphore = self._make_semaphore()
+        semaphore = self._semaphore()
         sync_latency = (
-            MajorityConsensusSemaphore(
-                [ConsensusNode(w) for w in self.workers]
-            ).latency(model)
-            if self.use_consensus
+            semaphore.latency(model) if semaphore is not None
             else model.network_latency + model.sync_latency
         )
-        winner: Optional[_RemoteRun] = None
-        state_ship = 0.0
-        for run in ordered:
-            name = outcomes[run.index].name
-            if not run.succeeded:
-                if not run.zombie:
-                    outcomes[run.index].status = "failed"
-                    outcomes[run.index].detail = run.detail
-                    outcomes[run.index].finished_at = run.completion
-                    timeline.append(
-                        (run.completion,
-                         f"{run.process.pid} aborts: {run.detail}")
-                    )
+
+        def ask(inc: Incarnation) -> bool:
+            return semaphore.try_acquire("block", inc.handle.process.pid)
+
+        for inc in sorted(runs, key=_completion):
+            at = _completion(inc)
+            body = inc.handle
+            if not (race.admit(inc, at, body.ok, body.detail)
+                    and race.vote(inc, at, ask if semaphore is not None else None)):
                 continue
-            if not self._commit_allowed(run):
-                # The incarnation-epoch fence: a zombie whose lease lapsed
-                # (or that a newer incarnation superseded) must not ship
-                # pages home, however fast it finished.
-                timeline.append(
-                    (run.completion,
-                     f"zombie {name}@{run.node} fenced at winner-commit "
-                     f"(epoch {run.epoch})")
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=run.index,
-                        name=name,
-                        reason="stale-epoch-fence",
-                        epoch=run.epoch,
-                    )
-                continue
-            if not self._try_sync(semaphore, run):
-                continue
-            dirty_bytes = run.pages_written * model.page_size
             try:
                 state_ship = self.network.transfer(
-                    run.node, self.home, dirty_bytes
+                    inc.worker, self.home, inc.pages * model.page_size
                 )
             except NetworkError as exc:
                 # A mid-race partition cut the winner off before its pages
                 # came home.  The commit never happened, so the grant dies
-                # with the partition: re-arm the rendezvous and promote
-                # the next finisher (loser-elimination, not a raw error).
-                outcomes[run.index].status = "failed"
-                outcomes[run.index].detail = (
-                    f"unreachable at winner-commit: {exc}"
-                )
-                outcomes[run.index].finished_at = run.completion
-                outcomes[run.index].cpu_consumed = run.duration
-                timeline.append(
-                    (run.completion + sync_latency,
-                     f"{name} granted sync but partitioned; grant revoked")
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        _ev.LOSER_ELIMINATE,
-                        block=block,
-                        arm=run.index,
-                        name=name,
-                        reason="partitioned-at-commit",
-                    )
-                semaphore = self._make_semaphore()
+                # with the partition: promote the next finisher.
+                race.reject(inc, at + sync_latency, "partitioned-at-commit",
+                            str(exc))
+                semaphore = self._semaphore()
                 continue
-            winner = run
-            timeline.append(
-                (run.completion, f"{name} requests sync")
+            # The claim message travels home, then 'the changed state is
+            # updated in the parent's storage'.
+            race.note(at + sync_latency, "sync granted at home")
+            resume_at = at + sync_latency + state_ship
+            table = body.process.space.table
+            return race.win(
+                inc, parent, body.value,
+                {vpn: table.read_page(vpn) for vpn in table.dirty_pages},
+                at=at,
+                resumed_at=resume_at,
+                kill_at=resume_at + model.network_latency,
+                kill_step=model.kill_latency,
+                overhead=OverheadBreakdown(
+                    setup=inc.started,  # checkpoint + ship + restore
+                    runtime=model.page_copy_time(inc.pages),
+                    selection=sync_latency + state_ship,
+                ),
             )
-            break
-        if winner is None:
+        return None
+
+    def _semaphore(self) -> Optional[MajorityConsensusSemaphore]:
+        """A fresh majority semaphore, or ``None`` when the first
+        finisher commits at home."""
+        if not self.use_consensus:
             return None
-
-        # Synchronization: the claim message travels home, then 'the
-        # changed state is updated in the parent's storage'.
-        resume_at = winner.completion + sync_latency + state_ship
-        self._apply_remote_state(parent, winner.process)
-        timeline.append(
-            (winner.completion + sync_latency, "sync granted at home")
+        return MajorityConsensusSemaphore(
+            [ConsensusNode(f"sync-{w}") for w in self.workers]
         )
-        timeline.append((resume_at, "parent resumes (state shipped home)"))
-        if tracer.enabled:
-            tracer.emit(
-                _ev.WINNER_COMMIT,
-                block=block,
-                arm=winner.index,
-                name=outcomes[winner.index].name,
-                pages=winner.pages_written,
-                sim_time=winner.completion,
-                epoch=winner.epoch or None,
-            )
-
-        winner_outcome = outcomes[winner.index]
-        winner_outcome.status = "won"
-        winner_outcome.value = winner.value
-        winner_outcome.finished_at = winner.completion
-        wasted = 0.0
-        losers = [
-            r for r in runs if r is not winner and not r.zombie
-        ]
-        for slot, run in enumerate(losers):
-            kill_at = resume_at + model.network_latency + slot * model.kill_latency
-            if outcomes[run.index].status == "untried":
-                outcomes[run.index].status = "eliminated"
-                outcomes[run.index].finished_at = min(run.completion, kill_at)
-                timeline.append((kill_at, f"kill message to {run.node}"))
-            consumed = min(run.duration, max(0.0, kill_at - run.arrival))
-            outcomes[run.index].cpu_consumed = consumed
-            wasted += consumed
-        for run in (r for r in runs if r.zombie):
-            # A zombie burned its full body before its lease fenced it.
-            wasted += run.duration
-        winner_outcome.cpu_consumed = winner.duration
-        if self.warden is not None:
-            self.warden.table.settle(at=resume_at, winner_arm=winner.index)
-
-        overhead = OverheadBreakdown(
-            setup=winner.arrival,  # checkpoint + ship + restore for winner
-            runtime=model.page_copy_time(winner.pages_written),
-            selection=sync_latency + state_ship,
-        )
-        return AltResult(
-            value=winner.value,
-            winner=winner_outcome,
-            outcomes=outcomes,
-            elapsed=resume_at,
-            overhead=overhead,
-            wasted_work=wasted,
-            timeline=sorted(timeline, key=lambda pair: pair[0]),
-        )
-
-    def _commit_allowed(self, run: _RemoteRun) -> bool:
-        """The incarnation-epoch fence checked at winner-commit."""
-        if run.lease is None:
-            return True
-        if run.lease.terminal:
-            return False
-        return run.epoch == self.warden.table.current_epoch(run.index)
-
-    # ------------------------------------------------------------------
-    # degradation
-
-    def _degrade_serial(
-        self, alternatives, parent, outcomes, timeline, clock, reason, block
-    ) -> AltResult:
-        """Replay the block serially on the home node.
-
-        The simulated-substrate analogue of the supervisor's
-        ``SerialBackend`` degradation: arms run one at a time, in order,
-        in fresh COW worlds of the home parent, with the fault injector
-        suppressed (one clean chance before the block concedes).
-        """
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.emit(_ev.DEGRADE, block=block, reason=reason)
-        timeline.append(
-            (clock, f"degrading to serial replay at home ({reason})")
-        )
-        if self.warden is not None:
-            # Remote leases settle before the replay touches the parent:
-            # expired stay expired, anything still active is eliminated.
-            self.warden.table.settle(at=clock, winner_arm=None)
-        executor = SequentialExecutor(
-            policy=OrderedPolicy(),
-            try_all=True,
-            seed=self.seed,
-            manager=self.network.node(self.home).manager,
-        )
-        try:
-            with suppressed():
-                replay = executor.run(alternatives, parent=parent)
-        except AltBlockFailure as exc:
-            exc.timeline = sorted(
-                timeline
-                + [(clock + t, f"[replay] {label}")
-                   for t, label in getattr(exc, "timeline", [])],
-                key=lambda pair: pair[0],
-            )
-            exc.elapsed = clock + (getattr(exc, "elapsed", 0.0) or 0.0)
-            raise
-        merged = timeline + [
-            (clock + t, f"[replay] {label}") for t, label in replay.timeline
-        ]
-        return AltResult(
-            value=replay.value,
-            winner=replay.winner,
-            outcomes=replay.outcomes,
-            elapsed=clock + replay.elapsed,
-            overhead=replay.overhead,
-            wasted_work=replay.wasted_work,
-            timeline=sorted(merged, key=lambda pair: pair[0]),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _make_semaphore(self):
-        if self.use_consensus:
-            return MajorityConsensusSemaphore(
-                [ConsensusNode(f"sync-{w}") for w in self.workers]
-            )
-        from repro.consensus.semaphore import SyncSemaphore
-
-        return SyncSemaphore("home")
-
-    def _try_sync(self, semaphore, run: _RemoteRun) -> bool:
-        if isinstance(semaphore, MajorityConsensusSemaphore):
-            try:
-                return semaphore.try_acquire("block", run.process.pid)
-            except Exception:
-                return False
-        return semaphore.try_acquire(run.process.pid)
-
-    @staticmethod
-    def _apply_remote_state(parent: SimProcess, winner: SimProcess) -> None:
-        """Write the winner's dirty pages into the parent's storage."""
-        table = winner.space.table
-        page_size = winner.space.page_size
-        for vpn in sorted(table.dirty_pages):
-            data = table.read_page(vpn)
-            offset = vpn * page_size
-            length = min(len(data), parent.space.size - offset)
-            if length > 0:
-                parent.space.write(offset, data[:length])
