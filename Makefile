@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke bench-commit bench-server bench
+.PHONY: check test test-fast test-resilience test-chaos test-check test-cluster test-matrix-pooled test-server coverage bench-smoke perf-smoke bench-commit bench-server bench
 
 ## check: what CI runs -- tier-1 tests plus a ~10s benchmark smoke.
 check: test bench-smoke
@@ -100,6 +100,16 @@ test-server:
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_parallel_backends.py --quick
+
+## perf-smoke: the benchmark's answer check, as CI runs it -- 3 s of
+## cluster-vote; fails unless every block's answer matched the oracle
+## and none failed.  Correctness only, not timing.  run.py exits 0
+## either way, so the contract JSON on its last line is read here.
+PERF_SEED ?= 0
+perf-smoke:
+	$(PYTHON) perfbench/run.py --workload cluster-vote --seed $(PERF_SEED) \
+		--seconds 3 --trace 0 | tail -n 1 \
+		| $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else f"answer check failed: {r}")'
 
 ## bench-commit: the commit-latency sweep (pipe pickling vs the
 ## shared-memory pointer-swap commit, 1..4096 dirty pages); --quick in

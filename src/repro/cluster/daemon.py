@@ -16,8 +16,10 @@ connection it speaks the framed-record protocol of
   runs the arm's body and guards exactly as the home node would
   (:func:`repro.core.sequential._run_body`), heartbeats on the
   connection while the body runs, and ships the child's dirty pages
-  home in the result record -- the paper's "the changed state is updated
-  in the parent's storage", over a socket;
+  home in the result record the moment the body returns (the arm
+  thread wakes the handler through a per-shipment pipe) -- the paper's
+  "the changed state is updated in the parent's storage", over a
+  socket;
 - ``cancel``: the section 3.2.1 termination instruction, delivered to
   the running body through its cooperative
   :class:`~repro.core.backends.base.CancellationToken`.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import os
 import secrets as _secrets
+import select
 import signal
 import threading
 import time
@@ -59,6 +62,43 @@ from repro.process.primitives import ProcessManager
 
 #: How long a stopping daemon waits for in-flight arm threads.
 _STOP_GRACE = 2.0
+
+
+class _Wake:
+    """A shipment's self-pipe: the arm thread's return, as an fd the
+    handler polls together with the connection.
+
+    The handler owns both ends and closes them exactly once.  A
+    soft-crashed or orphaned arm can outlive its handler, so ``set``
+    after ``close`` is a no-op rather than a write into a closed (or
+    recycled) fd.
+    """
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+        self._lock = threading.Lock()
+
+    def fileno(self) -> int:
+        return self._read
+
+    def set(self) -> None:
+        with self._lock:
+            if self._write >= 0:
+                os.write(self._write, b"\0")
+
+    def close(self) -> None:
+        with self._lock:
+            ends, self._read, self._write = (self._read, self._write), -1, -1
+        for fd in ends:
+            if fd >= 0:
+                os.close(fd)
+
+
+def _buffered(stream) -> bool:
+    """True when a previous ``recv`` left bytes in the stream's own
+    buffer (parsed records, or an authenticated envelope's bytes), where
+    polling the socket cannot see them."""
+    return bool(getattr(stream, "_ready", None) or getattr(stream, "_buf", None))
 
 
 class WorkerDaemon:
@@ -288,27 +328,42 @@ class WorkerDaemon:
         with self._inflight_lock:
             self._inflight[ship_id] = token
         box: dict = {}
+        wake = _Wake()
+
+        def arm() -> None:
+            try:
+                self._run_arm(msg, token, box)
+            finally:
+                wake.set()
+
         body = threading.Thread(
-            target=self._run_arm,
-            args=(msg, token, box),
+            target=arm,
             name=f"daemon-{self.node_id}-arm{msg.get('arm')}",
             daemon=True,
         )
         started = time.monotonic()
         body.start()
         crash_after = msg.get("crash_after")
+        crash_at = None if crash_after is None else started + crash_after
         # The home node's warden knows the lease terms; the ship record
         # carries the heartbeat period so both sides agree on the clock.
         hb_iv = float(msg.get("hb_interval") or self.hb_interval)
         orphaned = False
         seq = 0
         next_hb = started + hb_iv
+        # poll(), not select(): a busy daemon's fds can pass FD_SETSIZE.
+        poller = select.poll()
+        poller.register(stream, select.POLLIN)
+        poller.register(wake, select.POLLIN)
+        # The conversation loop's last recv may have pulled a cancel off
+        # the socket already; poll() cannot see those bytes.
+        buffered = _buffered(stream)
         try:
-            while body.is_alive():
+            while True:
                 if self._stopping.is_set():
                     token.cancel()
                 now = time.monotonic()
-                if crash_after is not None and now - started >= crash_after:
+                if crash_at is not None and now >= crash_at:
                     self._crash(stream, token)
                     return
                 if now >= next_hb:
@@ -324,15 +379,28 @@ class WorkerDaemon:
                         token.cancel()
                         break
                     seq += 1
-                try:
-                    incoming = stream.recv(timeout=min(hb_iv, 0.05))
-                except StreamClosed:
-                    orphaned = True  # the wire died under the race
-                    token.cancel()
-                    break
-                if incoming is not None and incoming.get("kind") == "cancel":
-                    self.arms_cancelled += 1
-                    token.cancel()
+                if buffered:
+                    try:
+                        incoming = stream.recv(timeout=min(hb_iv, 0.05))
+                    except StreamClosed:
+                        orphaned = True  # the wire died under the race
+                        token.cancel()
+                        break
+                    if incoming is not None and incoming.get("kind") == "cancel":
+                        self.arms_cancelled += 1
+                        token.cancel()
+                    buffered = incoming is not None and _buffered(stream)
+                    continue
+                # Sleep until the next heartbeat (or injected crash) is
+                # due, a frame arrives, or the arm body returns.
+                due = next_hb if crash_at is None else min(next_hb, crash_at)
+                ready = {
+                    fd for fd, _ in poller.poll(max(0.0, due - now) * 1000)
+                }
+                if wake.fileno() in ready:
+                    break  # the arm returned: ship its result now
+                # Readable, hung up or in error: recv tells which.
+                buffered = bool(ready)
             body.join(timeout=_STOP_GRACE)
             if orphaned:
                 # The abnormal-exit path used to skip the shm audit
@@ -352,6 +420,7 @@ class WorkerDaemon:
                 record = self._failure_record(msg, "arm body did not finish")
             stream.send(record)
         finally:
+            wake.close()
             with self._inflight_lock:
                 self._inflight.pop(ship_id, None)
 

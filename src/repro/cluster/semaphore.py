@@ -5,11 +5,13 @@
 in-memory ``node.request_vote`` call replaced by a framed ``vote``
 round-trip to each worker daemon's voter (section 5.1.2 / Thomas 1979,
 on the real wire).  Both semaphores judge a round by the one quorum rule,
-:func:`~repro.consensus.majority.tally`; what differs is only how the
-ballots are collected.  The safety argument is unchanged and lives entirely
-on the *daemons*: each voter grants a decision at most once and never
-revokes, so two requesters can never both collect strict majorities --
-no matter what the network between them does.
+:func:`~repro.consensus.majority.tally`, and stop collecting when
+:func:`~repro.consensus.majority.decided` says the rest cannot change
+it; what differs is only how the ballots are collected.  The safety
+argument is unchanged and lives entirely on the *daemons*: each voter
+grants a decision at most once and never revokes, so two requesters can
+never both collect strict majorities -- no matter what the network
+between them does.
 
 What the socket hop adds is the paper's failure model for real:
 
@@ -27,11 +29,12 @@ What the socket hop adds is the paper's failure model for real:
 from __future__ import annotations
 
 import threading
+import time
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.auth import AuthError, dial_handshake, load_secret
 from repro.cluster.stream import StreamClosed, connect
-from repro.consensus.majority import quorum, tally
+from repro.consensus.majority import decided, quorum, tally
 
 
 class ClusterMajoritySemaphore:
@@ -59,8 +62,9 @@ class ClusterMajoritySemaphore:
         return quorum(len(self.endpoints))
 
     def _ask(self, endpoint: Tuple[str, int], decision_id: Hashable,
-             requester: Hashable, box: dict) -> None:
-        """One vote round-trip; unreachable/torn voters answer nothing."""
+             requester: Hashable) -> Optional[bool]:
+        """One vote round-trip; ``None`` when the voter is unreachable,
+        torn or silent."""
         try:
             stream = connect(
                 endpoint[0], endpoint[1],
@@ -74,20 +78,20 @@ class ClusterMajoritySemaphore:
                 stream, self._key, timeout=self.vote_timeout
             )
         except (OSError, StreamClosed, AuthError):
-            return
+            return None
         try:
             if not stream.send({
                 "kind": "vote",
                 "decision": decision_id,
                 "requester": requester,
             }):
-                return
+                return None
             reply = stream.recv(timeout=self.vote_timeout)
             if reply is None or reply.get("kind") != "vote-reply":
-                return
-            box[endpoint] = bool(reply.get("granted"))
+                return None
+            return bool(reply.get("granted"))
         except StreamClosed:
-            return
+            return None
         finally:
             stream.close()
 
@@ -95,31 +99,56 @@ class ClusterMajoritySemaphore:
                     requester: Optional[Hashable] = None) -> bool:
         """Poll every voter in parallel; True iff a majority granted.
 
-        Grants are sticky on the daemons, so a requester that loses the
-        race leaves its partial grants behind -- safe (nobody else can
-        reach quorum *with those votes*) at some cost in liveness,
-        exactly the simulated semaphore's contract.
+        Returns as soon as :func:`~repro.consensus.majority.decided` says
+        no pending ballot can change the verdict -- a quorum of grants
+        does not wait for the slowest voter.  The late askers finish in
+        the background and their votes still land (grants are sticky on
+        the daemons), so a requester that loses the race leaves its
+        partial grants behind -- safe (nobody else can reach quorum
+        *with those votes*) at some cost in liveness, exactly the
+        simulated semaphore's contract.  A round nobody decides within
+        ``2 * vote_timeout`` is judged on the ballots in by then.
+
+        ``unreachable_last_round`` counts the voters that failed before
+        the round was decided (plus, on that timeout, the ones still
+        silent); a voter still pending at an early decision is not
+        counted.
 
         Raises :class:`ConsensusUnavailable` when fewer than a quorum of
         voters answered at all.
         """
         self.rounds += 1
         who = requester if requester is not None else self.requester
-        box: dict = {}
-        askers = [
+        voters = len(self.endpoints)
+        ballots: List[Optional[bool]] = []
+        arrived = threading.Condition()
+
+        def ask(endpoint: Tuple[str, int]) -> None:
+            ballot = self._ask(endpoint, decision_id, who)
+            with arrived:
+                ballots.append(ballot)
+                arrived.notify()
+
+        for endpoint in self.endpoints:
             threading.Thread(
-                target=self._ask,
-                args=(endpoint, decision_id, who, box),
-                daemon=True,
-            )
-            for endpoint in self.endpoints
-        ]
-        for thread in askers:
-            thread.start()
-        for thread in askers:
-            thread.join(timeout=self.vote_timeout * 2)
-        self.unreachable_last_round = len(self.endpoints) - len(box)
-        return tally(len(self.endpoints), sum(box.values()), len(box))
+                target=ask, args=(endpoint,),
+                name=f"vote-{endpoint[0]}:{endpoint[1]}", daemon=True,
+            ).start()
+        deadline = time.monotonic() + self.vote_timeout * 2
+        with arrived:
+            while True:
+                grants = ballots.count(True)
+                answered = grants + ballots.count(False)
+                failed = len(ballots) - answered
+                if decided(voters, grants, answered, failed):
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    failed = voters - answered
+                    break
+                arrived.wait(remaining)
+        self.unreachable_last_round = failed
+        return tally(voters, grants, answered)
 
     def __repr__(self) -> str:
         return (

@@ -43,6 +43,28 @@ def tally(voters: int, grants: int, answered: int) -> bool:
     return False
 
 
+def decided(voters: int, grants: int, answered: int, failed: int) -> bool:
+    """True once no outcome of the pending voters can change :func:`tally`.
+
+    A round of ``voters`` has ``grants`` among its ``answered`` ballots,
+    ``failed`` voters that will never answer, and the rest still
+    pending.  The verdict is fixed when the grants already reach a
+    quorum; when ``answered`` reached a quorum and the pending voters
+    cannot lift the grants to one (denied); or when the answered plus
+    the pending cannot reach a quorum (unavailable).  Until then the
+    caller must keep waiting: stopping on a prefix that might still
+    turn from denied to unavailable, or back, would send the block down
+    a different recovery path.
+    """
+    need = quorum(voters)
+    pending = voters - answered - failed
+    if grants >= need:
+        return True
+    if answered >= need and grants + pending < need:
+        return True
+    return answered + pending < need
+
+
 class MajorityConsensusSemaphore:
     """A replicated at-most-once synchronization point."""
 
@@ -71,19 +93,19 @@ class MajorityConsensusSemaphore:
         nodes can be reached at all, since then no decision is possible.
         """
         self.rounds += 1
-        reachable = 0
-        grants = 0
+        voters = len(self.nodes)
+        reachable = grants = failed = 0
         for node in self.nodes:
             try:
                 granted = node.request_vote(decision_id, requester)
             except ConsensusUnavailable:
-                continue
-            reachable += 1
-            if granted:
-                grants += 1
-            if grants >= self.quorum:
+                failed += 1
+            else:
+                reachable += 1
+                grants += granted
+            if decided(voters, grants, reachable, failed):
                 break
-        return tally(len(self.nodes), grants, reachable)
+        return tally(voters, grants, reachable)
 
     def winner(self, decision_id: Hashable) -> Optional[Hashable]:
         """The requester holding a majority for ``decision_id``, if any.

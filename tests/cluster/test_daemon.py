@@ -5,6 +5,9 @@ connection, only the process boundary is elided (the subprocess suite
 covers that).
 """
 
+import os
+import statistics
+import threading
 import time
 
 import pytest
@@ -41,6 +44,17 @@ def raising_body(ctx):
 
 def reject_guard(ctx, value):
     return False
+
+
+def put_after_a_beat(ctx):
+    # Long enough that the handler is already waiting when it returns.
+    time.sleep(0.01)
+    return put_result(ctx)
+
+
+def stubborn_body(ctx):
+    time.sleep(0.3)  # never polls its token: outlives a soft crash
+    return "late"
 
 
 @pytest.fixture
@@ -231,6 +245,88 @@ class TestArmExecution:
             with pytest.raises(StreamClosed):
                 while True:
                     stream.recv(timeout=0.5)
+
+
+class TestResultOnCompletion:
+    """The handler wakes when the arm body returns, not on its next
+    receive timeout or heartbeat."""
+
+    def test_result_ships_the_moment_the_arm_returns(self, daemon):
+        alt = Alternative("the-answer", put_after_a_beat)
+        image = checkpoint_image()
+        took = []
+        for _ in range(5):
+            with dial(daemon) as stream:
+                sent = time.perf_counter()
+                stream.send(ship_msg(alt, image, hb_interval=1.0))
+                result, beats = await_result(stream)
+                took.append(time.perf_counter() - sent)
+            assert result["value"] == 42
+            assert beats == 0
+        # A 50 ms receive poll could not answer before its timeout.
+        assert statistics.median(took) < 0.025, took
+
+    def test_open_fds_stay_flat_across_ships_crashes_and_orphans(
+        self, daemon
+    ):
+        fast = Alternative("the-answer", put_result)
+        slow = Alternative("slow", slow_body)
+        image = checkpoint_image()
+
+        def one_ship(i):
+            stream = dial(daemon)
+            try:
+                if i % 10 == 3:  # soft crash mid-arm
+                    stream.send(ship_msg(slow, image, crash_after=0.01))
+                    with pytest.raises(StreamClosed):
+                        while True:
+                            stream.recv(timeout=2.0)
+                elif i % 10 == 7:  # home vanishes mid-arm
+                    stream.send(ship_msg(slow, image))
+                    assert stream.recv(timeout=2.0)["kind"] == "hb"
+                else:
+                    stream.send(ship_msg(fast, image))
+                    assert await_result(stream)[0]["value"] == 42
+            finally:
+                stream.close()
+
+        def settle():
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                daemon._inflight or any(
+                    t.name.startswith("daemon-w-test-")
+                    for t in threading.enumerate()
+                    if t.name != "daemon-w-test"
+                )
+            ):
+                time.sleep(0.01)
+            return len(os.listdir("/proc/self/fd"))
+
+        for i in range(10):  # warm up every path once
+            one_ship(i)
+        before = settle()
+        for i in range(200):
+            one_ship(i)
+        assert settle() == before
+        assert daemon.arms_orphaned == 21
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_arm_outliving_a_soft_crash_raises_nothing(self, daemon):
+        alt = Alternative("stubborn", stubborn_body)
+        with dial(daemon) as stream:
+            stream.send(ship_msg(alt, checkpoint_image(), crash_after=0.02))
+            with pytest.raises(StreamClosed):
+                while True:
+                    stream.recv(timeout=2.0)
+        # The handler is gone; the body returns afterwards and must not
+        # signal into the handler's closed wake fd.
+        for thread in threading.enumerate():
+            if thread.name.startswith("daemon-w-test-arm"):
+                thread.join(timeout=5.0)
+        assert not daemon._inflight
+        assert daemon.arms_run == 1
 
 
 def _read_base(ctx):
